@@ -25,7 +25,6 @@ import numpy as np
 
 from .eigen import Alignment, BlockDecomposition, shifted_resolvent_diag, spike_quadratic_form
 from .errors import InvalidDims, NotSeparated, TooLarge
-from .model import SpikedModelSpec, check_separation
 from .rng import Stream
 
 MOMENT_ORDER_CAP = 8
@@ -39,7 +38,6 @@ class RatioCoefficients:
     nu: int
     c: np.ndarray
     sigma_nu: float
-    c_nu: float | None = None
 
 
 @dataclass(frozen=True)
@@ -50,7 +48,7 @@ class EigvecStatistic:
     nu: int
 
 
-def ratio_coefficients(spikes, nu: int, n: int, M: int, l_over_n_per_M: float | None = None) -> RatioCoefficients:
+def ratio_coefficients(spikes, nu: int, n: int, M: int) -> RatioCoefficients:
     """Ratio coefficients at spike nu; requires separation (no equal spikes)."""
     ls = np.atleast_1d(np.asarray(spikes, dtype=np.float64))
     l_nu = ls[nu - 1]
@@ -60,7 +58,7 @@ def ratio_coefficients(spikes, nu: int, n: int, M: int, l_over_n_per_M: float | 
         raise NotSeparated(f"a spike coincides with l_{nu} = {l_nu:g}")
     c = ls[mask] * l_nu / gaps**2
     sigma_nu = float(np.sum(c**2) / M)
-    return RatioCoefficients(nu=nu, c=c, sigma_nu=sigma_nu, c_nu=l_over_n_per_M)
+    return RatioCoefficients(nu=nu, c=c, sigma_nu=sigma_nu)
 
 
 def eigvec_statistic(
@@ -178,7 +176,3 @@ def lemma_diagnostics(
         "diff_over_beta": diff_norm / beta if beta > 0.0 else (0.0 if diff_norm == 0.0 else math.inf),
         "lemma3": al.l_hat * al.R**2 - N / n,
     }
-
-
-def separation_guard(spec: SpikedModelSpec, nu: int, eps0: float) -> bool:
-    return check_separation(spec, nu, eps0).separated

@@ -4,14 +4,16 @@ Each replicate draws its own counter-based stream derived from
 (master_seed, replicate index), so results are independent of execution
 order and the merged report is deterministic. Replicates that trip a
 numeric guard (tied eigenvalues, spike below the bulk, degenerate
-alignment) are flagged and excluded from the sample vector, never silently
-dropped: successes + flagged == configured replicates always.
+alignment, a solver that fails) are flagged and excluded from the sample
+vector, never silently dropped: successes + flagged == configured
+replicates always.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -19,8 +21,15 @@ import numpy as np
 from scipy.stats import norm as _norm
 
 from . import centering as ctr
-from .eigen import Alignment, sample_covariance, top_eigenpairs, top_eigenvalues
-from .errors import ConfigInvalid, DegenerateAlignment, InvalidDims, NumericPrecondition
+from .eigen import (
+    EigenSystem,
+    alignment,
+    bulk_spectrum,
+    sample_covariance,
+    top_eigenpairs,
+    top_eigenvalues,
+)
+from .errors import ConfigInvalid, InvalidDims, NumericPrecondition
 from .eigvec import eigvec_statistic
 from .model import DEFAULT_DELTA0, SpikedModelSpec, check_separation, sample_entry_matrix
 from .rng import Stream, derive_key
@@ -49,7 +58,10 @@ CLT_STATISTICS = ("clt_mixed", "clt_statistical", "clt_oracle")
 def default_workers() -> int:
     env = os.environ.get("SPIKED_EIG_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigInvalid(f"SPIKED_EIG_THREADS={env!r} is not an integer") from None
     return os.cpu_count() or 1
 
 
@@ -73,6 +85,12 @@ class ExperimentConfig:
             raise ConfigInvalid("need at least one replicate")
         if not 1 <= self.nu <= self.spec.M:
             raise ConfigInvalid(f"nu = {self.nu} outside 1..{self.spec.M}")
+        if self.x_mode not in (None, "auto", "zero", "root") and not re.fullmatch(
+            r"iter:[1-9][0-9]*", self.x_mode
+        ):
+            raise ConfigInvalid(f"x_mode {self.x_mode!r}: want root, iter:<k0 >= 1>, zero or auto")
+        if self.workers is None:
+            default_workers()  # a malformed SPIKED_EIG_THREADS fails here, before any replicate
         if self.statistic in CLT_STATISTICS and not self.spec.law.eligible_for_clt(self.delta0):
             raise ConfigInvalid(
                 f"law {self.spec.law.label()} has E[z^4] = {self.spec.law.fourth_moment:g} "
@@ -184,15 +202,15 @@ def simulate_instance(
     need_vectors: bool,
     need_bulk: bool,
 ) -> _Instance:
-    """Top-M eigenstructure of one replicate, in the identity frame."""
+    """Top-M eigenstructure of one replicate, in the identity frame.
+
+    One Gram product S feeds both the certified top-M solver and, when the
+    trace centering needs it, the bulk spectrum taken from its S_BB block.
+    """
     z = sample_entry_matrix(spec.N, spec.n, spec.law, seed)
-    y = z[: spec.M, :] * spec.sqrt_lambda()[:, np.newaxis]
-    m_diag = None
-    if need_bulk:
-        svals = np.linalg.svd(z[spec.M :, :], compute_uv=False)
-        m_diag = np.zeros(spec.N - spec.M)
-        m_diag[: len(svals)] = svals**2 / spec.n
-    S = sample_covariance(np.concatenate([y, z[spec.M :, :]], axis=0))
+    z[: spec.M, :] *= spec.sqrt_lambda()[:, np.newaxis]
+    S = sample_covariance(z)
+    m_diag = bulk_spectrum(S, spec.M, spec.n) if need_bulk else None
     if need_vectors:
         l_hat, vectors = top_eigenpairs(S, spec.M)
     else:
@@ -200,53 +218,32 @@ def simulate_instance(
     return _Instance(l_hat=l_hat, vectors=vectors, M_diag=m_diag, seed=seed)
 
 
-def _alignment_from_vectors(inst: _Instance, spec: SpikedModelSpec, nu: int) -> Alignment:
-    p = inst.vectors[:, nu - 1]
-    p_A = p[: spec.M].copy()
-    p_B = p[spec.M :].copy()
-    norm_A = float(np.linalg.norm(p_A))
-    if norm_A <= 1e-12:
-        raise DegenerateAlignment(f"||p_A|| = {norm_A:.3e} at nu = {nu}")
-    if p_A[nu - 1] < 0.0:
-        p_A, p_B = -p_A, -p_B
-    R = float(np.linalg.norm(p_B))
-    return Alignment(
-        nu=nu,
-        l_hat=float(inst.l_hat[nu - 1]),
-        a=p_A / norm_A,
-        R=R,
-        inner=math.sqrt(max(1.0 - R * R, 0.0)) * (p_A[nu - 1] / norm_A),
-        p_A=p_A,
-        p_B=p_B,
-    )
-
-
 def _replicate_value(config: ExperimentConfig, r: int, x_shift: float):
     """One replicate's statistic value, or a guard flag."""
     spec = config.spec
     stat = config.statistic
     seed = config.replicate_seed(r)
-    if stat == "concentration_sm":
-        # singular-value band of the replicate's N x n entry matrix,
-        # t = n^{1/4} and the calibrated C = 2 (the dedicated check
-        # exposes all knobs; this path drives it from a model config)
-        z = sample_entry_matrix(spec.N, spec.n, spec.law, seed)
-        svals = np.linalg.svd(z, compute_uv=False)
-        t = spec.n**0.25 if spec.N >= spec.n else spec.N**0.25
-        big = math.sqrt(max(spec.N, spec.n))
-        small = math.sqrt(min(spec.N, spec.n))
-        lower, upper = big - 2.0 * (small + t), big + 2.0 * (small + t)
-        bad = svals[0] > upper or svals[0] < lower or svals[-1] < lower or svals[-1] > upper
-        return float(bad), None, seed
-    if stat == "concentration_hw":
-        # centered quadratic form y^T y - N on one feature column
-        z = sample_entry_matrix(spec.N, 1, spec.law, seed)
-        return float(z[:, 0] @ z[:, 0] - spec.N), None, seed
-    need_vec = stat.startswith("eigvec") or stat == "consistency"
-    need_bulk = stat in ("clt_mixed", "clt_statistical")
-    inst = simulate_instance(spec, seed, need_vec, need_bulk)
-    nu = config.nu
     try:
+        if stat == "concentration_sm":
+            # singular-value band of the replicate's N x n entry matrix,
+            # t = n^{1/4} and the calibrated C = 2 (the dedicated check
+            # exposes all knobs; this path drives it from a model config)
+            z = sample_entry_matrix(spec.N, spec.n, spec.law, seed)
+            svals = np.linalg.svd(z, compute_uv=False)
+            t = spec.n**0.25 if spec.N >= spec.n else spec.N**0.25
+            big = math.sqrt(max(spec.N, spec.n))
+            small = math.sqrt(min(spec.N, spec.n))
+            lower, upper = big - 2.0 * (small + t), big + 2.0 * (small + t)
+            bad = svals[0] > upper or svals[0] < lower or svals[-1] < lower or svals[-1] > upper
+            return float(bad), None, seed
+        if stat == "concentration_hw":
+            # centered quadratic form y^T y - N on one feature column
+            z = sample_entry_matrix(spec.N, 1, spec.law, seed)
+            return float(z[:, 0] @ z[:, 0] - spec.N), None, seed
+        need_vec = stat.startswith("eigvec") or stat == "consistency"
+        need_bulk = stat in ("clt_mixed", "clt_statistical")
+        nu = config.nu
+        inst = simulate_instance(spec, seed, need_vec, need_bulk)
         if stat in CLT_STATISTICS:
             l_hat_nu = float(inst.l_hat[nu - 1])
             l_nu = float(spec.spikes[nu - 1])
@@ -261,7 +258,7 @@ def _replicate_value(config: ExperimentConfig, r: int, x_shift: float):
             return value, None, seed
         if stat.startswith("eigvec_"):
             variant = stat.split("_", 1)[1]
-            al = _alignment_from_vectors(inst, spec, nu)
+            al = alignment(EigenSystem(inst.l_hat, inst.vectors), None, spec.spikes, nu)
             source = inst.l_hat if config.empirical else spec.spikes
             es = eigvec_statistic(
                 al, source, nu, spec.n, spec.N, spec.M, variant, config.empirical
@@ -270,7 +267,7 @@ def _replicate_value(config: ExperimentConfig, r: int, x_shift: float):
         # consistency: max relative eigenvalue error over k <= nu
         err = float(np.max(np.abs(inst.l_hat[:nu] / spec.spikes[:nu] - 1.0)))
         return err, None, seed
-    except NumericPrecondition as exc:
+    except (NumericPrecondition, np.linalg.LinAlgError) as exc:
         return math.nan, type(exc).__name__, seed
 
 

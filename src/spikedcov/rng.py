@@ -44,14 +44,25 @@ class Stream:
         return self._gen.random(size=shape, dtype=np.float64)
 
     def normals(self, shape) -> np.ndarray:
-        """i.i.d. standard normals via Box-Muller."""
+        """i.i.d. standard normals via Box-Muller.
+
+        One uniform draw of 2 * half values holds the radius half, then the
+        angle half; the transform runs in place, so the only other buffer
+        is one half-length cosine.
+        """
         count = int(np.prod(shape)) if shape else 1
         half = (count + 1) // 2
-        u1 = 1.0 - self._gen.random(size=half)  # in (0, 1]: log is finite
-        u2 = self._gen.random(size=half)
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = _TAU * u2
-        z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
+        z = self._gen.random(size=2 * half)
+        radius, angle = z[:half], z[half:]
+        np.subtract(1.0, radius, out=radius)  # in (0, 1]: log is finite
+        np.log(radius, out=radius)
+        np.multiply(radius, -2.0, out=radius)
+        np.sqrt(radius, out=radius)
+        np.multiply(angle, _TAU, out=angle)
+        cos = np.cos(angle)
+        np.sin(angle, out=angle)
+        np.multiply(angle, radius, out=angle)
+        np.multiply(cos, radius, out=radius)
         return z[:count].reshape(shape)
 
     def integers(self, low: int, high: int, shape=None):

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spikedcov
 from spikedcov import matio
 from spikedcov.cli import main
 
@@ -242,3 +246,38 @@ class TestReproducibility:
             ])
             digests.append(json.loads((out / "manifest.json").read_text())["files"])
         assert digests[0] == digests[1]
+
+
+class TestExitCodeContract:
+    """Malformed flags and environment end in exit 2 and one line, no traceback."""
+
+    def run_cli(self, args, env_extra):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(spikedcov.__file__))
+        env.update(env_extra)
+        return subprocess.run(
+            [sys.executable, "-m", "spikedcov.cli", *args],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    @pytest.mark.parametrize("args, env", [
+        (["--x-mode", "iter:abc"], {}),
+        (["--x-mode", "iter:0"], {}),
+        (["--x-mode", "sideways"], {}),
+        ([], {"SPIKED_EIG_THREADS": "two"}),
+    ])
+    def test_bad_input_is_config_error(self, tmp_path, desk_config, args, env):
+        proc = self.run_cli(
+            ["clt", "--config", desk_config, "--out", str(tmp_path / "o"), "--replicates", "2", *args],
+            env,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error:")
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_x_mode_from_config_file_is_checked(self, tmp_path, capsys):
+        cfg = tmp_path / "bad_x.ini"
+        cfg.write_text(DESK.replace("x_mode = zero", "x_mode = iter:x"))
+        assert main(["clt", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "x_mode" in capsys.readouterr().err

@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spikedcov import eigen as eigen_module
 from spikedcov.eigen import (
     alignment,
     block_decompose,
+    bulk_spectrum,
     sample_covariance,
     sym_eigen,
     top_eigenpairs,
+    top_eigenvalues,
     verify_master_identities,
 )
 from spikedcov.errors import DegenerateAlignment, NotInvertible, NotSymmetric
@@ -62,11 +65,75 @@ class TestSymEigen:
         np.testing.assert_array_equal(e1.vectors, e2.vectors)
 
     def test_top_eigenpairs_matches_full(self):
-        A = random_symmetric(60, 4)
+        # top_eigenpairs is specified for PSD Gram matrices
+        g = Stream(4, "sym", 60).normals((60, 60))
+        A = g @ g.T / 60
         eig = sym_eigen(A)
         vals, vecs = top_eigenpairs(A, 5)
         np.testing.assert_allclose(vals, eig.values[:5], atol=1e-10)
         np.testing.assert_allclose(np.abs(vecs), np.abs(eig.vectors[:, :5]), atol=1e-8)
+
+
+def psd_with_spectrum(values, seed):
+    U = random_orthogonal(len(values), seed)
+    A = (U * np.asarray(values)) @ U.T
+    return (A + A.T) / 2.0
+
+
+class TestTopEigenpairs:
+    def test_identity_start_trap(self):
+        # a start block of e_1..e_k spans only eigenvectors of eigenvalue 1
+        # here and would certify l = 1; the random start finds 10
+        A = np.diag([1.0] * 19 + [10.0])
+        vals, vecs = top_eigenpairs(A, 1)
+        assert vals[0] == pytest.approx(10.0, rel=1e-12)
+        np.testing.assert_allclose(vecs[:, 0], np.eye(20)[:, 19], atol=1e-12)
+        np.testing.assert_array_equal(top_eigenvalues(A, 1), vals)
+
+    def test_slow_gap_takes_dense_fallback(self, monkeypatch):
+        # lambda_m / lambda_{k+1} = 1 + 1e-3: the sweep cap runs out first
+        m = 3
+        A = psd_with_spectrum([10.0, 5.0, 2.002] + [2.0] * 57, 41)
+        calls = []
+
+        def dense(S):
+            calls.append(S.shape)
+            return sym_eigen(S)
+
+        monkeypatch.setattr(eigen_module, "sym_eigen", dense)
+        vals, vecs = top_eigenpairs(A, m)
+        assert calls == [A.shape]
+        ref = sym_eigen(A)
+        np.testing.assert_array_equal(vals, ref.values[:m])
+        np.testing.assert_array_equal(vecs, ref.vectors[:, :m])
+
+    def test_fast_gap_is_certified_without_fallback(self, monkeypatch):
+        A = psd_with_spectrum([50.0, 20.0, 8.0] + list(np.linspace(1.5, 0.1, 57)), 43)
+        monkeypatch.setattr(eigen_module, "sym_eigen", None)  # must not be called
+        vals, vecs = top_eigenpairs(A, 3)
+        res = np.linalg.norm(A @ vecs - vecs * vals, axis=0)
+        assert np.all(res <= 1e-12 * vals)
+        np.testing.assert_allclose(vals, [50.0, 20.0, 8.0], rtol=1e-13)
+        # descending order and the sign convention of sym_eigen
+        idx = np.argmax(np.abs(vecs), axis=0)
+        assert np.all(vecs[idx, np.arange(3)] > 0)
+
+
+class TestBulkSpectrum:
+    @pytest.mark.parametrize("N, n", [(300, 400), (12, 5)])
+    def test_matches_block_decompose(self, N, n):
+        # p = N - M <= n, and p > n where the trailing p - n entries are 0
+        spikes = [40.0, 20.0]
+        Z = Stream(8, "bulk", N, n).normals((N, n))
+        X = Z.copy()
+        X[:2] *= np.sqrt(spikes)[:, None]
+        got = bulk_spectrum(sample_covariance(X), 2, n)
+        want = block_decompose(Z, spikes).M_diag
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * want[0])
+        assert np.all(np.diff(got) <= 0)
+        if N - 2 > n:
+            assert np.all(got[n:] == 0.0)
 
 
 class TestSampleCovariance:

@@ -1,9 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from spikedcov.errors import ConfigInvalid, InvalidDims
-from spikedcov.model import EntryLaw, SpikedModelSpec
+from spikedcov import centering as ctr
+from spikedcov import montecarlo
+from spikedcov.eigen import alignment, block_decompose, sample_covariance, sym_eigen
+from spikedcov.eigvec import eigvec_statistic
+from spikedcov.errors import ConfigInvalid, InvalidDims, NoConvergence
+from spikedcov.model import EntryLaw, SpikedModelSpec, generate_data
 from spikedcov.montecarlo import (
     ExperimentConfig,
     concentration_hw_check,
@@ -12,6 +18,7 @@ from spikedcov.montecarlo import (
     ecdf,
     ks_statistic,
     run_experiment,
+    simulate_instance,
 )
 
 
@@ -262,3 +269,122 @@ class TestConcentrationHW:
         corr = np.corrcoef(t, log_tail)[0, 1]
         assert slope < 0.0
         assert corr < -0.97
+
+
+DESK_SPIKES = (400**0.8) * np.array([8.0, 4.0, 2.0, 1.0])
+KERNEL_SEEDS = 50
+KERNEL_MASTER_SEED = 2027
+# The kernel (Gram matrix, certified subspace iteration, eigvalsh of S_BB)
+# and the dense path (sym_eigen, block_decompose's SVD) round differently;
+# measured gaps at desk size are below 3e-12 relative.
+KERNEL_RTOL = 1e-9
+
+
+@pytest.fixture(scope="module")
+def desk_spec(gaussian):
+    return SpikedModelSpec(n=400, N=300, M=4, spikes=DESK_SPIKES, law=gaussian)
+
+
+@pytest.fixture(scope="module")
+def dense_reference(desk_spec):
+    """Per replicate r: (sym_eigen of S, block_decompose M_diag), dense path."""
+    cfg = ExperimentConfig(
+        spec=desk_spec, nu=1, replicates=KERNEL_SEEDS,
+        master_seed=KERNEL_MASTER_SEED, statistic="consistency",
+    )
+    out = []
+    for r in range(KERNEL_SEEDS):
+        X, Z = generate_data(desk_spec, cfg.replicate_seed(r))
+        out.append((sym_eigen(sample_covariance(X)), block_decompose(Z, desk_spec.spikes).M_diag))
+    return out
+
+
+def dense_value(spec, statistic, nu, eig, m_diag, x_shift):
+    n, l_hat = spec.n, eig.values[: spec.M]
+    if statistic.startswith("clt"):
+        c = ctr.trace_centering(m_diag, l_hat[nu - 1], n)
+        if statistic == "clt_mixed":
+            c += x_shift
+        else:
+            c += ctr.statistical_centering(l_hat, nu, n)
+        return ctr.clt_statistic_value(l_hat[nu - 1], spec.spikes[nu - 1], c, spec.law, n)
+    if statistic.startswith("eigvec"):
+        al = alignment(eig, None, spec.spikes, nu)
+        return eigvec_statistic(al, spec.spikes, nu, n, spec.N, spec.M, statistic[7:]).value
+    return float(np.max(np.abs(l_hat[:nu] / spec.spikes[:nu] - 1.0)))
+
+
+class TestKernelAgainstDenseReference:
+    @pytest.mark.parametrize("statistic, nu", [
+        ("clt_mixed", 1), ("clt_statistical", 2), ("eigvec_B", 4),
+        ("eigvec_C1", 1), ("consistency", 4),
+    ])
+    def test_statistic_matches_dense_path(self, desk_spec, dense_reference, statistic, nu):
+        cfg = ExperimentConfig(
+            spec=desk_spec, nu=nu, replicates=KERNEL_SEEDS, master_seed=KERNEL_MASTER_SEED,
+            statistic=statistic, x_mode="root", workers=2,
+        )
+        rep = run_experiment(cfg)
+        assert rep.flagged == 0
+        x_shift = ctr.deterministic_shift(desk_spec.spikes, nu, desk_spec.n, "root")
+        want = [dense_value(desk_spec, statistic, nu, eig, m_diag, x_shift)
+                for eig, m_diag in dense_reference]
+        np.testing.assert_allclose(rep.samples, want, rtol=KERNEL_RTOL, atol=0.0)
+
+    def test_instance_matches_dense_path(self, desk_spec, dense_reference):
+        cfg = ExperimentConfig(
+            spec=desk_spec, nu=1, replicates=KERNEL_SEEDS,
+            master_seed=KERNEL_MASTER_SEED, statistic="consistency",
+        )
+        for r in range(0, KERNEL_SEEDS, 10):
+            inst = simulate_instance(desk_spec, cfg.replicate_seed(r), True, True)
+            eig, m_diag = dense_reference[r]
+            np.testing.assert_allclose(inst.l_hat, eig.values[:4], rtol=KERNEL_RTOL)
+            np.testing.assert_allclose(inst.vectors, eig.vectors[:, :4], atol=KERNEL_RTOL)
+            np.testing.assert_allclose(inst.M_diag, m_diag, rtol=KERNEL_RTOL, atol=KERNEL_RTOL)
+
+
+class TestReplicateFaults:
+    """A kernel fault in one replicate is flagged; the job still completes."""
+
+    BAD = 3
+
+    def _poison(self, monkeypatch, spec, seed, error):
+        X, _ = generate_data(spec, seed)
+        target = sample_covariance(X)
+        real = montecarlo.top_eigenvalues
+
+        def flaky(S, m):
+            if np.array_equal(S, target):
+                raise error("injected fault")
+            return real(S, m)
+
+        monkeypatch.setattr(montecarlo, "top_eigenvalues", flaky)
+
+    @pytest.mark.parametrize("error", [NoConvergence, np.linalg.LinAlgError])
+    def test_fault_is_flagged_and_others_unchanged(self, monkeypatch, quick_spec, error):
+        cfg = quick_config(quick_spec)
+        clean = run_experiment(cfg)
+        self._poison(monkeypatch, quick_spec, cfg.replicate_seed(self.BAD), error)
+        rep = run_experiment(cfg)
+        assert rep.successes + rep.flagged == cfg.replicates
+        assert rep.flagged == 1
+        assert rep.per_replicate_flags[self.BAD] == error.__name__
+        assert rep.rows[self.BAD]["value"] is None
+        keep = [r for r in range(cfg.replicates) if r != self.BAD]
+        np.testing.assert_array_equal(rep.samples, clean.samples[keep])
+
+    def test_cli_clt_exits_zero(self, monkeypatch, tmp_path, quick_spec):
+        from spikedcov.cli import main
+
+        ini = tmp_path / "q.ini"
+        ini.write_text(
+            "[model]\nn = 400\nN = 300\nM = 3\nspikes = 4*n^0.8, 2*n^0.8, 1*n^0.8\n"
+            "[experiment]\nstatistic = clt_oracle\nreplicates = 6\nmaster_seed = 42\n"
+            "x_mode = zero\n"
+        )
+        cfg = quick_config(quick_spec, replicates=6)
+        self._poison(monkeypatch, quick_spec, cfg.replicate_seed(self.BAD), NoConvergence)
+        assert main(["clt", "--config", str(ini), "--out", str(tmp_path / "o"), "--threads", "2"]) == 0
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert (report["successes"], report["flagged"]) == (5, 1)

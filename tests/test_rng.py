@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from spikedcov.rng import Stream, derive_key
 
@@ -38,3 +39,29 @@ def test_normals_moments():
 def test_uniforms_in_unit_interval():
     u = Stream(5, "u").uniforms(10_000)
     assert u.min() >= 0.0 and u.max() < 1.0
+
+
+def box_muller_reference(stream, shape):
+    """The allocating Box-Muller formula that Stream.normals computes in place."""
+    count = int(np.prod(shape)) if shape else 1
+    half = (count + 1) // 2
+    u1 = 1.0 - stream._gen.random(size=half)
+    u2 = stream._gen.random(size=half)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * np.pi * u2
+    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
+    return z[:count].reshape(shape)
+
+
+@pytest.mark.parametrize("shape", [(), 1, 7, 8, (3, 7), (40, 51), (64, 64)])
+def test_normals_bit_identical_to_reference(shape):
+    got = Stream(77, "bm", repr(shape)).normals(shape)
+    want = box_muller_reference(Stream(77, "bm", repr(shape)), shape)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+def test_normals_continue_the_stream_like_the_reference():
+    a, b = Stream(78, "bm"), Stream(78, "bm")
+    for shape in (5, (2, 3), 4):
+        np.testing.assert_array_equal(a.normals(shape), box_muller_reference(b, shape))
