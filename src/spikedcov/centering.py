@@ -336,11 +336,12 @@ def resolve_x_mode(x_mode: str | None, n: int, M: int) -> str:
     return x_mode
 
 
-def deterministic_shift(spikes, nu: int, n: int, x_mode: str) -> float:
-    """x per x_mode: "zero", "root" or "iter:k0"."""
+def deterministic_shift(spikes, nu: int, n: int, x_mode: str, coeffs=None) -> float:
+    """x per x_mode: "zero", "root" or "iter:k0"; ``coeffs`` reuses built coefficients."""
     if x_mode == "zero":
         return 0.0
-    coeffs = polynomial_coefficients(spikes, nu, n)
+    if coeffs is None:
+        coeffs = polynomial_coefficients(spikes, nu, n)
     if x_mode == "root":
         return solve_x(coeffs)
     if x_mode.startswith("iter:"):

@@ -78,7 +78,12 @@ def _write_json(path, record) -> None:
         fh.write("\n")
 
 
-def _experiment_outputs(out_dir, report, config, manifest) -> None:
+def _run_experiment_job(args, config) -> int:
+    """Run a clt/eigvec experiment; write its report, samples and manifest."""
+    report = run_experiment(config)
+    out_dir = args.out
+    os.makedirs(out_dir, exist_ok=True)
+    manifest = Manifest(args.config, out_dir, config.master_seed)
     _write_json(os.path.join(out_dir, "report.json"), report.aggregate_record(config))
     manifest.add(os.path.join(out_dir, "report.json"))
     jsonl = os.path.join(out_dir, "samples.jsonl")
@@ -93,6 +98,8 @@ def _experiment_outputs(out_dir, report, config, manifest) -> None:
         for v in report.samples:
             fh.write("%.17g\n" % v)
     manifest.add(csv_path)
+    manifest.write()
+    return EXIT_OK
 
 
 def cmd_generate(args) -> int:
@@ -142,25 +149,7 @@ def cmd_clt(args) -> int:
         x_mode=args.x_mode,
         workers=args.threads,
     )
-    report = run_experiment(config)
-    if config.statistic in ("clt_mixed", "clt_oracle"):
-        mode = centering.resolve_x_mode(config.x_mode, config.spec.n, config.spec.M)
-        x = centering.deterministic_shift(config.spec.spikes, config.nu, config.spec.n, mode)
-        residual = 0.0
-        if mode != "zero":
-            coeffs = centering.polynomial_coefficients(
-                config.spec.spikes, config.nu, config.spec.n
-            )
-            residual = centering.root_residual(coeffs, x)
-        report.extra.update(x=x, x_mode=mode, x_residual=residual)
-        for row in report.rows:
-            row["x"] = x
-            row["x_residual"] = residual
-    os.makedirs(args.out, exist_ok=True)
-    manifest = Manifest(args.config, args.out, config.master_seed)
-    _experiment_outputs(args.out, report, config, manifest)
-    manifest.write()
-    return EXIT_OK
+    return _run_experiment_job(args, config)
 
 
 def cmd_eigvec(args) -> int:
@@ -174,12 +163,7 @@ def cmd_eigvec(args) -> int:
         empirical=args.empirical or None,
         workers=args.threads,
     )
-    report = run_experiment(config)
-    os.makedirs(args.out, exist_ok=True)
-    manifest = Manifest(args.config, args.out, config.master_seed)
-    _experiment_outputs(args.out, report, config, manifest)
-    manifest.write()
-    return EXIT_OK
+    return _run_experiment_job(args, config)
 
 
 def cmd_mp_table(args) -> int:
@@ -267,6 +251,8 @@ def cmd_consistency(args) -> int:
         "median_max_ratio_error": rep["median_max_ratio_error"].tolist(),
         "median_inner_sq": rep["median_inner_sq"].tolist(),
         "flags": rep["flags"],
+        "successes": rep["successes"],
+        "flagged": rep["flagged"],
         "replicates": config.replicates,
         "master_seed": config.master_seed,
     }

@@ -20,8 +20,6 @@ from .rng import Stream
 #: Laws with fourth moment below 1 + DEFAULT_DELTA0 are ineligible for CLT runs.
 DEFAULT_DELTA0 = 0.1
 
-_LN2 = math.log(2.0)
-
 
 @dataclass(frozen=True)
 class EntryLaw:
@@ -36,23 +34,20 @@ class EntryLaw:
     kind: str
     p: float | None = None
     fourth_moment: float = field(init=False)
-    psi2_bound: float = field(init=False)
 
     def __post_init__(self):
         if self.kind == "gaussian":
-            m4, k = 3.0, math.sqrt(8.0 / 3.0)
+            m4 = 3.0
         elif self.kind == "uniform":
-            m4, k = 9.0 / 5.0, math.sqrt(3.0 / _LN2)
+            m4 = 9.0 / 5.0
         elif self.kind == "twopoint":
             p = self.p
             if p is None or not 0.0 < p < 1.0:
                 raise InvalidSpec(f"twopoint law needs p in (0,1), got {p!r}")
             m4 = (1.0 - p) ** 2 / p + p**2 / (1.0 - p)
-            k = max(math.sqrt((1.0 - p) / p), math.sqrt(p / (1.0 - p))) / math.sqrt(_LN2)
         else:
             raise InvalidSpec(f"unknown entry law kind {self.kind!r}")
         object.__setattr__(self, "fourth_moment", m4)
-        object.__setattr__(self, "psi2_bound", k)
 
     @classmethod
     def gaussian(cls) -> "EntryLaw":
@@ -158,11 +153,6 @@ class SpikedModelSpec:
             if err > 1e-10:
                 raise InvalidSpec(f"basis not orthogonal: max |U^T U - I| = {err:.3e}")
             self.basis = b
-
-    @property
-    def gamma_n(self) -> float:
-        """(N - M) / n, the effective aspect ratio of the bulk block."""
-        return (self.N - self.M) / self.n
 
     def sqrt_lambda(self) -> np.ndarray:
         return np.sqrt(self.spikes)

@@ -18,7 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm as _norm
 
 from . import centering as ctr
 from .eigen import (
@@ -53,6 +52,9 @@ SIM_STATISTICS = (
 )
 
 CLT_STATISTICS = ("clt_mixed", "clt_statistical", "clt_oracle")
+
+#: Faults that flag one replicate instead of aborting the job.
+REPLICATE_FAULTS = (NumericPrecondition, np.linalg.LinAlgError)
 
 
 def default_workers() -> int:
@@ -164,6 +166,11 @@ def ks_statistic(samples, reference_cdf) -> float:
     return float(max(hi, lo, 0.0))
 
 
+def _normal_cdf(x) -> np.ndarray:
+    """Phi(x) = erfc(-x / sqrt 2) / 2, the KS reference for the CLT statistics."""
+    return np.array([0.5 * math.erfc(-t / math.sqrt(2.0)) for t in np.ravel(x).tolist()])
+
+
 def ecdf(sample):
     """Empirical CDF of a reference sample, usable as a ks_statistic target."""
     ref = np.sort(np.asarray(sample, dtype=np.float64))
@@ -193,7 +200,6 @@ class _Instance:
     l_hat: np.ndarray
     vectors: np.ndarray | None
     M_diag: np.ndarray | None
-    seed: int
 
 
 def simulate_instance(
@@ -215,7 +221,7 @@ def simulate_instance(
         l_hat, vectors = top_eigenpairs(S, spec.M)
     else:
         l_hat, vectors = top_eigenvalues(S, spec.M), None
-    return _Instance(l_hat=l_hat, vectors=vectors, M_diag=m_diag, seed=seed)
+    return _Instance(l_hat=l_hat, vectors=vectors, M_diag=m_diag)
 
 
 def _replicate_value(config: ExperimentConfig, r: int, x_shift: float):
@@ -267,7 +273,7 @@ def _replicate_value(config: ExperimentConfig, r: int, x_shift: float):
         # consistency: max relative eigenvalue error over k <= nu
         err = float(np.max(np.abs(inst.l_hat[:nu] / spec.spikes[:nu] - 1.0)))
         return err, None, seed
-    except (NumericPrecondition, np.linalg.LinAlgError) as exc:
+    except REPLICATE_FAULTS as exc:
         return math.nan, type(exc).__name__, seed
 
 
@@ -281,10 +287,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             config_flags.append("not_separated")
         if config.spec.spikes[config.nu - 1] <= 1.0 + config.eps0:
             config_flags.append("no_divergent_spike")
-    x_shift = 0.0
+    x_shift, row_extra, extra = 0.0, {}, {}
     if config.statistic in ("clt_mixed", "clt_oracle"):
-        mode = ctr.resolve_x_mode(config.x_mode, config.spec.n, config.spec.M)
-        x_shift = ctr.deterministic_shift(config.spec.spikes, config.nu, config.spec.n, mode)
+        # one build of the polynomial coefficients serves x and its residual
+        spec = config.spec
+        mode = ctr.resolve_x_mode(config.x_mode, spec.n, spec.M)
+        residual = 0.0
+        if mode != "zero":
+            coeffs = ctr.polynomial_coefficients(spec.spikes, config.nu, spec.n)
+            x_shift = ctr.deterministic_shift(spec.spikes, config.nu, spec.n, mode, coeffs)
+            residual = ctr.root_residual(coeffs, x_shift)
+        row_extra = {"x": x_shift, "x_residual": residual}
+        extra = dict(row_extra, x_mode=mode)
 
     results = _map_replicates(
         lambda r: _replicate_value(config, r, x_shift),
@@ -307,10 +321,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 "M": config.spec.M,
                 "seed": seed,
                 "flag": flag,
+                **row_extra,
             }
         )
     samples = np.asarray(values, dtype=np.float64)
-    ks = ks_statistic(samples, _norm.cdf) if len(samples) else math.nan
+    ks = ks_statistic(samples, _normal_cdf) if len(samples) else math.nan
     mean, var, skew, kurt = _moments(samples)
     violations = int(np.sum(samples)) if config.statistic == "concentration_sm" else 0
     return ExperimentReport(
@@ -324,6 +339,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         per_replicate_flags=flags,
         config_flags=config_flags,
         rows=rows,
+        extra=extra,
     )
 
 
@@ -344,7 +360,7 @@ def consistency_report(config: ExperimentConfig) -> dict:
     """Per-spike consistency diagnostics (ratio errors and inner products).
 
     For every replicate and every nu in 1..M computes
-    max_{k <= nu} |l_hat_k / l_k - 1| and <p_nu, u_nu>^2; aggregates medians.
+    max_{k <= nu} |l_hat_k / l_k - 1| and <p_nu, u_nu>^2; medians skip flagged rows (NaN).
     """
     config.validate()
     spec = config.spec
@@ -357,23 +373,30 @@ def consistency_report(config: ExperimentConfig) -> dict:
 
     def one(r: int):
         seed = config.replicate_seed(r)
-        inst = simulate_instance(spec, seed, need_vectors=True, need_bulk=False)
+        try:
+            inst = simulate_instance(spec, seed, need_vectors=True, need_bulk=False)
+        except REPLICATE_FAULTS as exc:
+            return np.full(spec.M, math.nan), np.full(spec.M, math.nan), seed, type(exc).__name__
         rel = np.abs(inst.l_hat / spec.spikes - 1.0)
         max_err = np.maximum.accumulate(rel)
         inner_sq = inst.vectors[np.arange(spec.M), np.arange(spec.M)] ** 2
-        return max_err, inner_sq, seed
+        return max_err, inner_sq, seed, None
 
     results = _map_replicates(one, config.replicates, config.workers)
     max_errs = np.vstack([r[0] for r in results])
     inners = np.vstack([r[1] for r in results])
-    seeds = [r[2] for r in results]
+    replicate_flags = [r[3] for r in results]
+    ok = np.array([f is None for f in replicate_flags])
     return {
-        "median_max_ratio_error": np.median(max_errs, axis=0),
-        "median_inner_sq": np.median(inners, axis=0),
+        "median_max_ratio_error": np.median(max_errs[ok], axis=0),
+        "median_inner_sq": np.median(inners[ok], axis=0),
         "max_ratio_error": max_errs,
         "inner_sq": inners,
         "flags": flags,
-        "seeds": seeds,
+        "per_replicate_flags": replicate_flags,
+        "successes": int(ok.sum()),
+        "flagged": int((~ok).sum()),
+        "seeds": [r[2] for r in results],
         "nu": config.nu,
     }
 

@@ -64,6 +64,3 @@ class Stream:
         np.multiply(angle, radius, out=angle)
         np.multiply(cos, radius, out=radius)
         return z[:count].reshape(shape)
-
-    def integers(self, low: int, high: int, shape=None):
-        return self._gen.integers(low, high, size=shape)

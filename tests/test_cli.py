@@ -139,6 +139,27 @@ class TestClt:
         rows = [json.loads(l) for l in (out / "samples.jsonl").read_text().splitlines()]
         assert all("x_residual" in r for r in rows)
 
+    def test_mixed_root_builds_coefficients_once(self, tmp_path, desk_config, monkeypatch):
+        from spikedcov import centering
+
+        calls = []
+        real = centering.polynomial_coefficients
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(centering, "polynomial_coefficients", counting)
+        out = tmp_path / "clt_once"
+        rc = main([
+            "clt", "--config", desk_config, "--out", str(out),
+            "--mode", "mixed", "--x-mode", "root", "--replicates", "2", "--threads", "2",
+        ])
+        assert rc == 0
+        assert len(calls) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["extra"]["x_mode"] == "root"
+
     def test_exit_zero_even_if_statistics_poor(self, tmp_path):
         # statistical outcome never drives the exit code
         cfg = tmp_path / "tiny.ini"
@@ -281,3 +302,40 @@ class TestExitCodeContract:
         cfg.write_text(DESK.replace("x_mode = zero", "x_mode = iter:x"))
         assert main(["clt", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "x_mode" in capsys.readouterr().err
+
+
+BLOCK_SCIPY = """\
+import sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.startswith("scipy"):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+from spikedcov.cli import main
+
+rc = main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+print("scipy modules:", loaded)
+sys.exit(rc if not loaded else 99)
+"""
+
+
+class TestNumpyOnlyRuntime:
+    def test_clt_mixed_root_runs_without_scipy(self, tmp_path, desk_config):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(spikedcov.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", BLOCK_SCIPY, "clt", "--config", desk_config,
+             "--out", str(tmp_path / "o"), "--mode", "mixed", "--x-mode", "root",
+             "--replicates", "2", "--threads", "2"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "scipy modules: []" in proc.stdout
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["successes"] == 2

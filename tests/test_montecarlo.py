@@ -62,6 +62,12 @@ class TestKsStatistic:
         d2 = ks_statistic(norm.cdf(samples), lambda t: np.clip(t, 0.0, 1.0))
         assert d1 == pytest.approx(d2, abs=1e-12)
 
+    def test_normal_cdf_matches_scipy(self):
+        grid = np.linspace(-40.0, 40.0, 200_001)
+        got = montecarlo._normal_cdf(grid)
+        np.testing.assert_allclose(got, norm.cdf(grid), rtol=0.0, atol=1e-15)
+        assert got[0] == 0.0 and got[-1] == 1.0
+
     def test_two_sample_via_ecdf(self):
         a = np.linspace(0, 1, 500)
         b = np.linspace(0, 1, 500) ** 0.5
@@ -349,17 +355,27 @@ class TestReplicateFaults:
 
     BAD = 3
 
-    def _poison(self, monkeypatch, spec, seed, error):
+    def _poison(self, monkeypatch, spec, seed, error, solver="top_eigenvalues"):
         X, _ = generate_data(spec, seed)
         target = sample_covariance(X)
-        real = montecarlo.top_eigenvalues
+        real = getattr(montecarlo, solver)
 
         def flaky(S, m):
             if np.array_equal(S, target):
                 raise error("injected fault")
             return real(S, m)
 
-        monkeypatch.setattr(montecarlo, "top_eigenvalues", flaky)
+        monkeypatch.setattr(montecarlo, solver, flaky)
+
+    @staticmethod
+    def _write_quick_ini(tmp_path):
+        ini = tmp_path / "q.ini"
+        ini.write_text(
+            "[model]\nn = 400\nN = 300\nM = 3\nspikes = 4*n^0.8, 2*n^0.8, 1*n^0.8\n"
+            "[experiment]\nstatistic = clt_oracle\nreplicates = 6\nmaster_seed = 42\n"
+            "x_mode = zero\n"
+        )
+        return str(ini)
 
     @pytest.mark.parametrize("error", [NoConvergence, np.linalg.LinAlgError])
     def test_fault_is_flagged_and_others_unchanged(self, monkeypatch, quick_spec, error):
@@ -377,14 +393,40 @@ class TestReplicateFaults:
     def test_cli_clt_exits_zero(self, monkeypatch, tmp_path, quick_spec):
         from spikedcov.cli import main
 
-        ini = tmp_path / "q.ini"
-        ini.write_text(
-            "[model]\nn = 400\nN = 300\nM = 3\nspikes = 4*n^0.8, 2*n^0.8, 1*n^0.8\n"
-            "[experiment]\nstatistic = clt_oracle\nreplicates = 6\nmaster_seed = 42\n"
-            "x_mode = zero\n"
-        )
+        ini = self._write_quick_ini(tmp_path)
         cfg = quick_config(quick_spec, replicates=6)
         self._poison(monkeypatch, quick_spec, cfg.replicate_seed(self.BAD), NoConvergence)
-        assert main(["clt", "--config", str(ini), "--out", str(tmp_path / "o"), "--threads", "2"]) == 0
+        assert main(["clt", "--config", ini, "--out", str(tmp_path / "o"), "--threads", "2"]) == 0
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert (report["successes"], report["flagged"]) == (5, 1)
+
+    @pytest.mark.parametrize("error", [NoConvergence, np.linalg.LinAlgError])
+    def test_consistency_fault_is_flagged_and_others_unchanged(self, monkeypatch, quick_spec, error):
+        cfg = quick_config(quick_spec, statistic="consistency", nu=3)
+        clean = consistency_report(cfg)
+        assert (clean["successes"], clean["flagged"]) == (cfg.replicates, 0)
+        self._poison(monkeypatch, quick_spec, cfg.replicate_seed(self.BAD), error, "top_eigenpairs")
+        rep = consistency_report(cfg)
+        assert rep["successes"] + rep["flagged"] == cfg.replicates
+        assert rep["flagged"] == 1
+        assert rep["per_replicate_flags"][self.BAD] == error.__name__
+        assert rep["per_replicate_flags"].count(None) == cfg.replicates - 1
+        keep = [r for r in range(cfg.replicates) if r != self.BAD]
+        for key, median in (("max_ratio_error", "median_max_ratio_error"),
+                            ("inner_sq", "median_inner_sq")):
+            assert np.all(np.isnan(rep[key][self.BAD]))
+            np.testing.assert_array_equal(rep[key][keep], clean[key][keep])
+            np.testing.assert_array_equal(rep[median], np.median(clean[key][keep], axis=0))
+
+    def test_cli_consistency_exits_zero(self, monkeypatch, tmp_path, quick_spec):
+        from spikedcov.cli import main
+
+        ini = self._write_quick_ini(tmp_path)
+        cfg = quick_config(quick_spec, replicates=6)
+        self._poison(monkeypatch, quick_spec, cfg.replicate_seed(self.BAD), NoConvergence,
+                     "top_eigenpairs")
+        out = tmp_path / "o"
+        assert main(["consistency", "--config", ini, "--out", str(out), "--threads", "2"]) == 0
+        report = json.loads((out / "consistency.json").read_text())
+        assert (report["successes"], report["flagged"], report["replicates"]) == (5, 1, 6)
+        assert all(np.isfinite(report["median_inner_sq"]))
