@@ -15,6 +15,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -76,6 +77,13 @@ def _write_json(path, record) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _require_positive(**values) -> None:
+    """Config error unless every flag value is finite and > 0."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigInvalid(f"--{name.replace('_', '-')} must be finite and > 0, got {value}")
 
 
 def _run_experiment_job(args, config) -> int:
@@ -167,6 +175,7 @@ def cmd_eigvec(args) -> int:
 
 
 def cmd_mp_table(args) -> int:
+    _require_positive(gamma=args.gamma)
     try:
         start, stop, count = args.z_grid.split(":")
         grid = np.linspace(float(start), float(stop), int(count))
@@ -264,6 +273,11 @@ def cmd_consistency(args) -> int:
 
 
 def cmd_concentration(args) -> int:
+    _require_positive(replicates=args.replicates, p=args.p)
+    if args.kind == "sm":
+        _require_positive(q=args.q)
+    else:
+        _require_positive(t_count=args.t_count)
     law = parse_law(args.law)
     os.makedirs(args.out, exist_ok=True)
     manifest = Manifest(None, args.out, args.seed)

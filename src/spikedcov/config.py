@@ -42,7 +42,11 @@ def parse_law(text: str) -> EntryLaw:
         _, _, p = text.partition(":")
         if not p:
             raise ConfigInvalid("twopoint law needs a parameter, e.g. twopoint:0.3")
-        return EntryLaw.two_point(float(p))
+        try:
+            prob = float(p)
+        except ValueError:
+            raise ConfigInvalid(f"twopoint law parameter {p!r} is not a number") from None
+        return EntryLaw.two_point(prob)
     raise ConfigInvalid(f"unknown law {text!r}")
 
 

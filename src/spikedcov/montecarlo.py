@@ -11,10 +11,14 @@ replicates always.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import os
 import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,11 +36,6 @@ from .errors import ConfigInvalid, InvalidDims, NumericPrecondition
 from .eigvec import eigvec_statistic
 from .model import DEFAULT_DELTA0, SpikedModelSpec, check_separation, sample_entry_matrix
 from .rng import Stream, derive_key
-
-try:  # keep worker threads from fighting BLAS threads
-    from threadpoolctl import threadpool_limits as _blas_limits
-except ImportError:  # pragma: no cover
-    _blas_limits = None
 
 SIM_STATISTICS = (
     "clt_mixed",
@@ -58,13 +57,75 @@ REPLICATE_FAULTS = (NumericPrecondition, np.linalg.LinAlgError)
 
 
 def default_workers() -> int:
+    """SPIKED_EIG_THREADS, else the CPUs this process may run on."""
     env = os.environ.get("SPIKED_EIG_THREADS")
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             raise ConfigInvalid(f"SPIKED_EIG_THREADS={env!r} is not an integer") from None
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return os.cpu_count() or 1
+
+
+# The BLAS governor. Replicates run on one OpenBLAS thread each, so the
+# replicate pool owns the cores and a replicate's bits do not depend on the
+# BLAS thread count. The OpenBLAS setting is process-global: the first
+# entrant saves the count and sets 1, the last one out restores it.
+_BLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+#: Why the governor does nothing (numpy's BLAS is not OpenBLAS), else None.
+blas_unpinned_reason: str | None = None
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved = 1
+
+
+@functools.cache
+def _blas_controls() -> tuple:
+    """numpy's OpenBLAS (get, set) thread-count functions; () if none resolves."""
+    global blas_unpinned_reason
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError) as exc:
+        blas_unpinned_reason = f"cannot open numpy's LAPACK module: {exc}"
+        return ()
+    for names in _BLAS_SYMBOLS:
+        if all(hasattr(lib, name) for name in names):
+            get, set_ = (getattr(lib, name) for name in names)
+            get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
+            return get, set_
+    blas_unpinned_reason = "numpy's BLAS exports no OpenBLAS thread-count symbol"
+    return ()
+
+
+def blas_threads() -> int | None:
+    """numpy's current OpenBLAS thread count; None where it cannot be read."""
+    controls = _blas_controls()
+    return controls[0]() if controls else None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block on one OpenBLAS thread; nests, and is safe across threads."""
+    global _blas_depth, _blas_saved
+    controls = _blas_controls()
+    with _blas_lock:
+        if controls and _blas_depth == 0:
+            _blas_saved = controls[0]()
+            controls[1](1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if controls and _blas_depth == 0:
+                controls[1](_blas_saved)
 
 
 @dataclass
@@ -212,15 +273,17 @@ def simulate_instance(
 
     One Gram product S feeds both the certified top-M solver and, when the
     trace centering needs it, the bulk spectrum taken from its S_BB block.
+    It runs on one BLAS thread, so its bits depend on (spec, seed) alone.
     """
-    z = sample_entry_matrix(spec.N, spec.n, spec.law, seed)
-    z[: spec.M, :] *= spec.sqrt_lambda()[:, np.newaxis]
-    S = sample_covariance(z)
-    m_diag = bulk_spectrum(S, spec.M, spec.n) if need_bulk else None
-    if need_vectors:
-        l_hat, vectors = top_eigenpairs(S, spec.M)
-    else:
-        l_hat, vectors = top_eigenvalues(S, spec.M), None
+    with one_blas_thread():
+        z = sample_entry_matrix(spec.N, spec.n, spec.law, seed)
+        z[: spec.M, :] *= spec.sqrt_lambda()[:, np.newaxis]
+        S = sample_covariance(z)
+        m_diag = bulk_spectrum(S, spec.M, spec.n) if need_bulk else None
+        if need_vectors:
+            l_hat, vectors = top_eigenpairs(S, spec.M)
+        else:
+            l_hat, vectors = top_eigenvalues(S, spec.M), None
     return _Instance(l_hat=l_hat, vectors=vectors, M_diag=m_diag)
 
 
@@ -344,16 +407,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 
 def _map_replicates(fn, count: int, workers: int | None):
+    """fn over 0..count-1 on a pool of worker threads, each on one BLAS thread."""
     workers = default_workers() if workers is None else max(1, workers)
-    if workers == 1 or count == 1:
-        return [fn(r) for r in range(count)]
-    limiter = _blas_limits(limits=1) if _blas_limits is not None else None
-    try:
+    with one_blas_thread():
+        if workers == 1 or count == 1:
+            return [fn(r) for r in range(count)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, range(count)))
-    finally:
-        if limiter is not None:
-            limiter.unregister()
 
 
 def consistency_report(config: ExperimentConfig) -> dict:

@@ -1,14 +1,22 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spikedcov
-from spikedcov import matio
+from spikedcov import matio, montecarlo
 from spikedcov.cli import main
+
+CLT_ORACLE_DESK = Path(__file__).resolve().parent.parent / "configs" / "clt_oracle_desk.ini"
 
 MINIMAL = """\
 [model]
@@ -269,17 +277,19 @@ class TestReproducibility:
         assert digests[0] == digests[1]
 
 
+def run_cli(args, env_extra):
+    """`python -m spikedcov.cli ARGS` in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(spikedcov.__file__))
+    env.update(env_extra)
+    return subprocess.run(
+        [sys.executable, "-m", "spikedcov.cli", *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 class TestExitCodeContract:
     """Malformed flags and environment end in exit 2 and one line, no traceback."""
-
-    def run_cli(self, args, env_extra):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(spikedcov.__file__))
-        env.update(env_extra)
-        return subprocess.run(
-            [sys.executable, "-m", "spikedcov.cli", *args],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
 
     @pytest.mark.parametrize("args, env", [
         (["--x-mode", "iter:abc"], {}),
@@ -288,7 +298,7 @@ class TestExitCodeContract:
         ([], {"SPIKED_EIG_THREADS": "two"}),
     ])
     def test_bad_input_is_config_error(self, tmp_path, desk_config, args, env):
-        proc = self.run_cli(
+        proc = run_cli(
             ["clt", "--config", desk_config, "--out", str(tmp_path / "o"), "--replicates", "2", *args],
             env,
         )
@@ -296,6 +306,28 @@ class TestExitCodeContract:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("config error:")
         assert len(proc.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("args", [
+        ["concentration", "--kind", "sm", "--replicates", "0"],
+        ["concentration", "--kind", "sm", "--replicates", "-3"],
+        ["concentration", "--kind", "sm", "--p", "0"],
+        ["concentration", "--kind", "hw", "--replicates", "-1"],
+        ["concentration", "--kind", "hw", "--t-count", "-1"],
+        ["concentration", "--kind", "hw", "--p", "-2"],
+        ["concentration", "--kind", "sm", "--law", "twopoint:abc"],
+        ["mp", "--gamma", "-1", "--z-grid", "1:5:4"],
+        ["mp", "--gamma", "0", "--z-grid", "1:5:4"],
+        ["mp", "--gamma", "nan", "--z-grid", "1:5:4"],
+        ["mp", "--gamma", "inf", "--z-grid", "1:5:4"],
+    ])
+    def test_bad_concentration_or_mp_input_is_config_error(self, tmp_path, args):
+        out = tmp_path / "o"
+        proc = run_cli([*args, "--out", str(out)], {})
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error:")
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_x_mode_from_config_file_is_checked(self, tmp_path, capsys):
         cfg = tmp_path / "bad_x.ini"
@@ -339,3 +371,60 @@ class TestNumpyOnlyRuntime:
         assert "scipy modules: []" in proc.stdout
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert report["successes"] == 2
+
+
+REALS = st.one_of(
+    st.sampled_from([0.0, -1.0, float("nan"), float("inf"), float("-inf")]),
+    st.floats(-10.0, 100.0),
+)
+COUNTS = st.integers(-2, 12)
+
+
+@st.composite
+def concentration_or_mp_argv(draw):
+    """Tiny concentration/mp argv, values <= 0, nan and inf included."""
+    if draw(st.booleans()):
+        return ["mp", f"--gamma={draw(REALS)}",
+                f"--z-grid={draw(REALS)}:{draw(REALS)}:{draw(COUNTS)}"]
+    kind = draw(st.sampled_from(["sm", "hw"]))
+    law = draw(st.sampled_from(["gaussian", "uniform", "twopoint:0.3", "twopoint:nan",
+                                "twopoint:x", "cauchy"]))
+    argv = ["concentration", f"--kind={kind}", f"--law={law}",
+            f"--seed={draw(st.integers(0, 3))}", f"--replicates={draw(st.integers(-2, 50))}",
+            f"--p={draw(st.integers(-2, 8))}"]
+    if kind == "sm":
+        return argv + [f"--q={draw(st.integers(-2, 8))}", f"--t={draw(REALS)}",
+                       f"--constant={draw(REALS)}"]
+    return argv + [f"--t-min={draw(REALS)}", f"--t-max={draw(REALS)}", f"--t-count={draw(COUNTS)}"]
+
+
+class TestCliFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(argv=concentration_or_mp_argv())
+    def test_exit_code_contract(self, argv):
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+            out = os.path.join(tmp, "o.csv" if argv[0] == "mp" else "o")
+            rc = main([*argv, f"--out={out}"])
+        assert rc in (0, 2, 3, 4, 5)
+        assert "Traceback" not in err.getvalue()
+
+
+class TestBlasThreadIndependence:
+    """At a size where OpenBLAS threads, outputs depend on neither BLAS nor pool threads."""
+
+    def run_clt(self, out, threads, blas):
+        proc = run_cli(
+            ["clt", "--config", str(CLT_ORACLE_DESK), "--out", str(out), "--mode", "mixed",
+             "--x-mode", "root", "--replicates", "4", "--seed", "5", "--threads", threads],
+            {"OPENBLAS_NUM_THREADS": blas},
+        )
+        assert proc.returncode == 0, proc.stderr
+        return {name: (out / name).read_bytes() for name in ("samples.csv", "report.json")}
+
+    def test_outputs_are_byte_identical(self, tmp_path):
+        if montecarlo.blas_threads() is None:
+            pytest.skip(montecarlo.blas_unpinned_reason)
+        two_blas = self.run_clt(tmp_path / "pool_blas2", "2", "2")
+        assert self.run_clt(tmp_path / "pool_blas1", "2", "1") == two_blas
+        assert self.run_clt(tmp_path / "serial_blas2", "1", "2") == two_blas

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -219,6 +220,62 @@ class TestWorkerDefaults:
         monkeypatch.delenv("SPIKED_EIG_THREADS")
         assert default_workers() >= 1
 
+    def test_affinity_mask_bounds_the_pool(self, monkeypatch):
+        monkeypatch.delenv("SPIKED_EIG_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert montecarlo.default_workers() == 1
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delenv("SPIKED_EIG_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert montecarlo.default_workers() == 3
+
+
+@pytest.fixture
+def blas_count_two():
+    """numpy's OpenBLAS set to two threads for the test, then put back."""
+    before = montecarlo.blas_threads()
+    if before is None:
+        pytest.skip(montecarlo.blas_unpinned_reason)
+    set_threads = montecarlo._blas_controls()[1]
+    set_threads(2)
+    yield
+    set_threads(before)
+
+
+class TestBlasGovernor:
+    def test_replicates_run_on_one_blas_thread(self, blas_count_two):
+        for workers in (1, 2):
+            seen = montecarlo._map_replicates(lambda r: montecarlo.blas_threads(), 4, workers)
+            assert seen == [1] * 4
+            assert montecarlo.blas_threads() == 2
+
+    def test_nested_and_raising_blocks_restore_the_count(self, blas_count_two):
+        with pytest.raises(RuntimeError):
+            with montecarlo.one_blas_thread():
+                with montecarlo.one_blas_thread():
+                    assert montecarlo.blas_threads() == 1
+                assert montecarlo.blas_threads() == 1
+                raise RuntimeError("boom")
+        assert montecarlo.blas_threads() == 2
+
+    def test_jobs_restore_the_count(self, quick_spec, blas_count_two):
+        run_experiment(quick_config(quick_spec, replicates=2))
+        assert montecarlo.blas_threads() == 2
+        consistency_report(quick_config(quick_spec, statistic="consistency", replicates=2))
+        assert montecarlo.blas_threads() == 2
+
+    def test_without_openblas_the_governor_does_nothing(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "blas_unpinned_reason", None)
+        monkeypatch.setattr(montecarlo.ctypes, "CDLL", lambda path: object())
+        assert montecarlo._blas_controls.__wrapped__() == ()
+        assert "OpenBLAS" in montecarlo.blas_unpinned_reason
+        monkeypatch.setattr(montecarlo, "_blas_controls", lambda: ())
+        with montecarlo.one_blas_thread():
+            assert montecarlo.blas_threads() is None
+
 
 class TestConcentrationSM:
     def test_scalar_case(self, gaussian):
@@ -357,7 +414,8 @@ class TestReplicateFaults:
 
     def _poison(self, monkeypatch, spec, seed, error, solver="top_eigenvalues"):
         X, _ = generate_data(spec, seed)
-        target = sample_covariance(X)
+        with montecarlo.one_blas_thread():
+            target = sample_covariance(X)
         real = getattr(montecarlo, solver)
 
         def flaky(S, m):
@@ -399,6 +457,21 @@ class TestReplicateFaults:
         assert main(["clt", "--config", ini, "--out", str(tmp_path / "o"), "--threads", "2"]) == 0
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert (report["successes"], report["flagged"]) == (5, 1)
+
+    def test_blas_count_restored_after_faults(self, monkeypatch, quick_spec, blas_count_two):
+        cfg = quick_config(quick_spec)
+        cons = quick_config(quick_spec, statistic="consistency", nu=3)
+        self._poison(monkeypatch, quick_spec, cfg.replicate_seed(self.BAD), NoConvergence)
+        assert run_experiment(cfg).flagged == 1
+        assert montecarlo.blas_threads() == 2
+        self._poison(monkeypatch, quick_spec, cfg.replicate_seed(self.BAD), NoConvergence,
+                     "top_eigenpairs")
+        assert consistency_report(cons)["flagged"] == 1
+        assert montecarlo.blas_threads() == 2
+        self._poison(monkeypatch, quick_spec, cfg.replicate_seed(self.BAD), RuntimeError)
+        with pytest.raises(RuntimeError):
+            run_experiment(cfg)
+        assert montecarlo.blas_threads() == 2
 
     @pytest.mark.parametrize("error", [NoConvergence, np.linalg.LinAlgError])
     def test_consistency_fault_is_flagged_and_others_unchanged(self, monkeypatch, quick_spec, error):
