@@ -178,9 +178,14 @@ def cmd_mp_table(args) -> int:
     _require_positive(gamma=args.gamma)
     try:
         start, stop, count = args.z_grid.split(":")
-        grid = np.linspace(float(start), float(stop), int(count))
+        start, stop, count = float(start), float(stop), int(count)
     except ValueError as exc:
         raise ConfigInvalid(f"bad --z-grid {args.z_grid!r}: want start:stop:count") from exc
+    if not (math.isfinite(start) and math.isfinite(stop) and count >= 1):
+        raise ConfigInvalid(
+            f"bad --z-grid {args.z_grid!r}: want finite start and stop and a count >= 1"
+        )
+    grid = np.linspace(start, stop, count)
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write("z,m,quadratic_residual,error\n")

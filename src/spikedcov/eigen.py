@@ -163,11 +163,15 @@ def bulk_spectrum(S: np.ndarray, M: int, n: int) -> np.ndarray:
 
 
 def sample_covariance(X: np.ndarray) -> np.ndarray:
-    """(1/n) X X^T, symmetrized to kill rounding asymmetry."""
-    X = np.asarray(X, dtype=np.float64)
-    n = X.shape[1]
-    S = (X @ X.T) / n
-    return (S + S.T) / 2.0
+    """(1/n) X X^T, exactly symmetric.
+
+    On a C-contiguous X numpy computes X @ X.T as one triangle (syrk) and
+    mirrors it, so no symmetrizing pass or temporary is needed.
+    """
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    S = X @ X.T
+    S /= X.shape[1]
+    return S
 
 
 def block_decompose(Z: np.ndarray, spikes) -> BlockDecomposition:

@@ -21,11 +21,11 @@ MAGIC = b"SPIKEMAT"
 def write_csv(path, A: np.ndarray) -> None:
     A = np.asarray(A, dtype=np.float64)
     rows, cols = A.shape
+    line = ",".join(["%.17g"] * cols) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{rows},{cols}\n")
         for row in A:
-            fh.write(",".join("%.17g" % v for v in row))
-            fh.write("\n")
+            fh.write(line % tuple(row.tolist()))
 
 
 def read_csv(path) -> np.ndarray:

@@ -11,19 +11,14 @@ replicates always.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
-import os
 import re
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import centering as ctr
+from .cores import default_workers, fan_out, free_workers, one_blas_thread
 from .eigen import (
     EigenSystem,
     alignment,
@@ -54,78 +49,6 @@ CLT_STATISTICS = ("clt_mixed", "clt_statistical", "clt_oracle")
 
 #: Faults that flag one replicate instead of aborting the job.
 REPLICATE_FAULTS = (NumericPrecondition, np.linalg.LinAlgError)
-
-
-def default_workers() -> int:
-    """SPIKED_EIG_THREADS, else the CPUs this process may run on."""
-    env = os.environ.get("SPIKED_EIG_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigInvalid(f"SPIKED_EIG_THREADS={env!r} is not an integer") from None
-    if hasattr(os, "sched_getaffinity"):
-        return max(1, len(os.sched_getaffinity(0)))
-    return os.cpu_count() or 1
-
-
-# The BLAS governor. Replicates run on one OpenBLAS thread each, so the
-# replicate pool owns the cores and a replicate's bits do not depend on the
-# BLAS thread count. The OpenBLAS setting is process-global: the first
-# entrant saves the count and sets 1, the last one out restores it.
-_BLAS_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-#: Why the governor does nothing (numpy's BLAS is not OpenBLAS), else None.
-blas_unpinned_reason: str | None = None
-_blas_lock = threading.Lock()
-_blas_depth = 0
-_blas_saved = 1
-
-
-@functools.cache
-def _blas_controls() -> tuple:
-    """numpy's OpenBLAS (get, set) thread-count functions; () if none resolves."""
-    global blas_unpinned_reason
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except (AttributeError, OSError) as exc:
-        blas_unpinned_reason = f"cannot open numpy's LAPACK module: {exc}"
-        return ()
-    for names in _BLAS_SYMBOLS:
-        if all(hasattr(lib, name) for name in names):
-            get, set_ = (getattr(lib, name) for name in names)
-            get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
-            return get, set_
-    blas_unpinned_reason = "numpy's BLAS exports no OpenBLAS thread-count symbol"
-    return ()
-
-
-def blas_threads() -> int | None:
-    """numpy's current OpenBLAS thread count; None where it cannot be read."""
-    controls = _blas_controls()
-    return controls[0]() if controls else None
-
-
-@contextmanager
-def one_blas_thread():
-    """Run the block on one OpenBLAS thread; nests, and is safe across threads."""
-    global _blas_depth, _blas_saved
-    controls = _blas_controls()
-    with _blas_lock:
-        if controls and _blas_depth == 0:
-            _blas_saved = controls[0]()
-            controls[1](1)
-        _blas_depth += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_depth -= 1
-            if controls and _blas_depth == 0:
-                controls[1](_blas_saved)
 
 
 @dataclass
@@ -363,9 +286,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         row_extra = {"x": x_shift, "x_residual": residual}
         extra = dict(row_extra, x_mode=mode)
 
-    results = _map_replicates(
+    results = fan_out(
         lambda r: _replicate_value(config, r, x_shift),
-        config.replicates,
+        range(config.replicates),
         config.workers,
     )
     values, flags, rows = [], [], []
@@ -406,16 +329,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def _map_replicates(fn, count: int, workers: int | None):
-    """fn over 0..count-1 on a pool of worker threads, each on one BLAS thread."""
-    workers = default_workers() if workers is None else max(1, workers)
-    with one_blas_thread():
-        if workers == 1 or count == 1:
-            return [fn(r) for r in range(count)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, range(count)))
-
-
 def consistency_report(config: ExperimentConfig) -> dict:
     """Per-spike consistency diagnostics (ratio errors and inner products).
 
@@ -442,7 +355,7 @@ def consistency_report(config: ExperimentConfig) -> dict:
         inner_sq = inst.vectors[np.arange(spec.M), np.arange(spec.M)] ** 2
         return max_err, inner_sq, seed, None
 
-    results = _map_replicates(one, config.replicates, config.workers)
+    results = fan_out(one, range(config.replicates), config.workers)
     max_errs = np.vstack([r[0] for r in results])
     inners = np.vstack([r[1] for r in results])
     replicate_flags = [r[3] for r in results]
@@ -488,7 +401,9 @@ def concentration_sm_check(
     while done < reps:
         take = min(chunk, reps - done)
         A = law.sample(stream, (take, p, q))
-        svals = np.linalg.svd(A, compute_uv=False)
+        # each matrix's SVD is independent, so the split leaves its bits alone
+        parts = np.array_split(A, min(take, free_workers()))
+        svals = np.concatenate(fan_out(lambda part: np.linalg.svd(part, compute_uv=False), parts))
         s1 = svals[:, 0]
         sq = svals[:, -1]
         bad = (s1 > upper) | (s1 < lower) | (sq > upper) | (sq < lower)

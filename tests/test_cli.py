@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spikedcov
-from spikedcov import matio, montecarlo
+from spikedcov import cores, matio
 from spikedcov.cli import main
 
 CLT_ORACLE_DESK = Path(__file__).resolve().parent.parent / "configs" / "clt_oracle_desk.ini"
@@ -319,6 +319,11 @@ class TestExitCodeContract:
         ["mp", "--gamma", "0", "--z-grid", "1:5:4"],
         ["mp", "--gamma", "nan", "--z-grid", "1:5:4"],
         ["mp", "--gamma", "inf", "--z-grid", "1:5:4"],
+        ["mp", "--gamma", "1", "--z-grid", "0:inf:3"],
+        ["mp", "--gamma", "1", "--z-grid=-inf:5:3"],
+        ["mp", "--gamma", "1", "--z-grid", "nan:5:3"],
+        ["mp", "--gamma", "1", "--z-grid", "1:5:0"],
+        ["mp", "--gamma", "1", "--z-grid", "1:5:-2"],
     ])
     def test_bad_concentration_or_mp_input_is_config_error(self, tmp_path, args):
         out = tmp_path / "o"
@@ -423,8 +428,30 @@ class TestBlasThreadIndependence:
         return {name: (out / name).read_bytes() for name in ("samples.csv", "report.json")}
 
     def test_outputs_are_byte_identical(self, tmp_path):
-        if montecarlo.blas_threads() is None:
-            pytest.skip(montecarlo.blas_unpinned_reason)
+        if cores.blas_threads() is None:
+            pytest.skip(cores.blas_unpinned_reason)
         two_blas = self.run_clt(tmp_path / "pool_blas2", "2", "2")
         assert self.run_clt(tmp_path / "pool_blas1", "2", "1") == two_blas
         assert self.run_clt(tmp_path / "serial_blas2", "1", "2") == two_blas
+
+
+class TestSingleJobThreadIndependence:
+    """Single-job commands split draws and batched SVDs across cores; no output bit moves."""
+
+    JOBS = {
+        "generate": ["generate", "--config", str(CLT_ORACLE_DESK), "--with-z", "--seed", "3"],
+        "eigs": ["eigs", "--config", str(CLT_ORACLE_DESK), "--seed", "3"],
+        "sm": ["concentration", "--kind", "sm", "--replicates", "16", "--seed", "3"],
+        "hw": ["concentration", "--kind", "hw", "--p", "100", "--replicates", "1500", "--seed", "3"],
+    }
+
+    def outputs(self, out, job, threads):
+        proc = run_cli([*self.JOBS[job], "--out", str(out)], {"SPIKED_EIG_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+
+    @pytest.mark.parametrize("job", JOBS)
+    def test_outputs_are_byte_identical(self, tmp_path, job):
+        serial = self.outputs(tmp_path / "one", job, "1")
+        assert serial
+        assert self.outputs(tmp_path / "two", job, "2") == serial

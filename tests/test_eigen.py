@@ -153,6 +153,24 @@ class TestSampleCovariance:
         X = Stream(6, "cov2").normals((30, 50))
         S = sample_covariance(X)
         np.testing.assert_array_equal(S, S.T)
+        # a strided view: one matrix product would not round symmetrically
+        S = sample_covariance(Stream(6, "cov3").normals((300, 800))[:, ::2])
+        np.testing.assert_array_equal(S, S.T)
+
+    @staticmethod
+    def symmetrized_reference(X):
+        """The formula sample_covariance replaced: divide, then average with the transpose."""
+        S = (X @ X.T) / X.shape[1]
+        return (S + S.T) / 2.0
+
+    @pytest.mark.parametrize("N, n, order", [
+        (500, 1000, "C"),  # clt_bulk
+        (2000, 4000, "C"),  # eigvec_large
+        (300, 400, "F"),
+    ])
+    def test_bit_identical_to_the_symmetrized_formula(self, N, n, order):
+        X = np.asarray(Stream(7, "cov", N, n).normals((N, n)), order=order)
+        np.testing.assert_array_equal(sample_covariance(X), self.symmetrized_reference(X))
 
 
 class TestBlockDecompose:

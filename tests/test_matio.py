@@ -41,3 +41,24 @@ def test_csv_header_mismatch(tmp_path):
     path.write_text("2,3\n1.0,2.0,3.0\n")
     with pytest.raises(ValueError):
         matio.read_csv(path)
+
+
+def per_value_csv(path, A):
+    """The writer write_csv replaced: one %.17g format per value."""
+    rows, cols = A.shape
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"{rows},{cols}\n")
+        for row in A:
+            fh.write(",".join("%.17g" % v for v in row))
+            fh.write("\n")
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (12, 1), (1, 12)])
+def test_csv_bytes_match_per_value_formula(tmp_path, shape):
+    special = [0.0, -0.0, 5e-324, -2.5e-310, 1e-5, 1e17, -1e17, np.inf, -np.inf, np.nan,
+               1.0 / 3.0, 2.0**53 + 2.0]
+    A = np.array(special).reshape(shape)
+    matio.write_csv(tmp_path / "new.csv", A)
+    per_value_csv(tmp_path / "old.csv", A)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    np.testing.assert_array_equal(matio.read_csv(tmp_path / "new.csv"), A)

@@ -1,12 +1,15 @@
 import json
 import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 from spikedcov import centering as ctr
-from spikedcov import montecarlo
+from spikedcov import cores, montecarlo
 from spikedcov.eigen import alignment, block_decompose, sample_covariance, sym_eigen
 from spikedcov.eigvec import eigvec_statistic
 from spikedcov.errors import ConfigInvalid, InvalidDims, NoConvergence
@@ -213,33 +216,32 @@ class TestConfigDrivenConcentration:
 
 class TestWorkerDefaults:
     def test_env_var_fallback(self, monkeypatch):
-        from spikedcov.montecarlo import default_workers
-
         monkeypatch.setenv("SPIKED_EIG_THREADS", "3")
-        assert default_workers() == 3
+        assert cores.default_workers() == 3
         monkeypatch.delenv("SPIKED_EIG_THREADS")
-        assert default_workers() >= 1
+        assert cores.default_workers() >= 1
+        assert montecarlo.default_workers is cores.default_workers  # the name perfbench calls
 
     def test_affinity_mask_bounds_the_pool(self, monkeypatch):
         monkeypatch.delenv("SPIKED_EIG_THREADS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert montecarlo.default_workers() == 1
+        assert cores.default_workers() == 1
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delenv("SPIKED_EIG_THREADS", raising=False)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert montecarlo.default_workers() == 3
+        assert cores.default_workers() == 3
 
 
 @pytest.fixture
 def blas_count_two():
     """numpy's OpenBLAS set to two threads for the test, then put back."""
-    before = montecarlo.blas_threads()
+    before = cores.blas_threads()
     if before is None:
-        pytest.skip(montecarlo.blas_unpinned_reason)
-    set_threads = montecarlo._blas_controls()[1]
+        pytest.skip(cores.blas_unpinned_reason)
+    set_threads = cores._blas_controls()[1]
     set_threads(2)
     yield
     set_threads(before)
@@ -248,33 +250,62 @@ def blas_count_two():
 class TestBlasGovernor:
     def test_replicates_run_on_one_blas_thread(self, blas_count_two):
         for workers in (1, 2):
-            seen = montecarlo._map_replicates(lambda r: montecarlo.blas_threads(), 4, workers)
+            seen = cores.fan_out(lambda r: cores.blas_threads(), range(4), workers)
             assert seen == [1] * 4
-            assert montecarlo.blas_threads() == 2
+            assert cores.blas_threads() == 2
 
     def test_nested_and_raising_blocks_restore_the_count(self, blas_count_two):
         with pytest.raises(RuntimeError):
-            with montecarlo.one_blas_thread():
-                with montecarlo.one_blas_thread():
-                    assert montecarlo.blas_threads() == 1
-                assert montecarlo.blas_threads() == 1
+            with cores.one_blas_thread():
+                with cores.one_blas_thread():
+                    assert cores.blas_threads() == 1
+                assert cores.blas_threads() == 1
                 raise RuntimeError("boom")
-        assert montecarlo.blas_threads() == 2
+        assert cores.blas_threads() == 2
 
     def test_jobs_restore_the_count(self, quick_spec, blas_count_two):
         run_experiment(quick_config(quick_spec, replicates=2))
-        assert montecarlo.blas_threads() == 2
+        assert cores.blas_threads() == 2
         consistency_report(quick_config(quick_spec, statistic="consistency", replicates=2))
-        assert montecarlo.blas_threads() == 2
+        assert cores.blas_threads() == 2
+
+    def test_fan_out_inside_a_replicate_runs_on_the_calling_thread(self, blas_count_two):
+        def replicate(r):
+            inner = cores.fan_out(lambda i: (threading.get_ident(), cores.blas_threads()), range(3), 2)
+            return threading.get_ident(), inner
+
+        for caller, inner in cores.fan_out(replicate, range(2), 2):
+            assert inner == [(caller, 1)] * 3
+        assert cores.blas_threads() == 2
+        with cores.one_blas_thread():
+            seen = cores.fan_out(lambda i: threading.get_ident(), range(3), 2)
+        assert seen == [threading.get_ident()] * 3
+        assert cores.blas_threads() == 2
+
+    def test_concurrent_fan_outs_restore_the_count(self, blas_count_two):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [
+                    pool.submit(cores.fan_out, lambda i: cores.blas_threads(), range(3), 2)
+                    for _ in range(64)
+                ]
+                seen = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert seen == [[1, 1, 1]] * 64
+        assert cores._blas_depth == 0
+        assert cores.blas_threads() == 2
 
     def test_without_openblas_the_governor_does_nothing(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "blas_unpinned_reason", None)
-        monkeypatch.setattr(montecarlo.ctypes, "CDLL", lambda path: object())
-        assert montecarlo._blas_controls.__wrapped__() == ()
-        assert "OpenBLAS" in montecarlo.blas_unpinned_reason
-        monkeypatch.setattr(montecarlo, "_blas_controls", lambda: ())
-        with montecarlo.one_blas_thread():
-            assert montecarlo.blas_threads() is None
+        monkeypatch.setattr(cores, "blas_unpinned_reason", None)
+        monkeypatch.setattr(cores.ctypes, "CDLL", lambda path: object())
+        assert cores._blas_controls.__wrapped__() == ()
+        assert "OpenBLAS" in cores.blas_unpinned_reason
+        monkeypatch.setattr(cores, "_blas_controls", lambda: ())
+        with cores.one_blas_thread():
+            assert cores.blas_threads() is None
 
 
 class TestConcentrationSM:
@@ -414,7 +445,7 @@ class TestReplicateFaults:
 
     def _poison(self, monkeypatch, spec, seed, error, solver="top_eigenvalues"):
         X, _ = generate_data(spec, seed)
-        with montecarlo.one_blas_thread():
+        with cores.one_blas_thread():
             target = sample_covariance(X)
         real = getattr(montecarlo, solver)
 
@@ -463,15 +494,15 @@ class TestReplicateFaults:
         cons = quick_config(quick_spec, statistic="consistency", nu=3)
         self._poison(monkeypatch, quick_spec, cfg.replicate_seed(self.BAD), NoConvergence)
         assert run_experiment(cfg).flagged == 1
-        assert montecarlo.blas_threads() == 2
+        assert cores.blas_threads() == 2
         self._poison(monkeypatch, quick_spec, cfg.replicate_seed(self.BAD), NoConvergence,
                      "top_eigenpairs")
         assert consistency_report(cons)["flagged"] == 1
-        assert montecarlo.blas_threads() == 2
+        assert cores.blas_threads() == 2
         self._poison(monkeypatch, quick_spec, cfg.replicate_seed(self.BAD), RuntimeError)
         with pytest.raises(RuntimeError):
             run_experiment(cfg)
-        assert montecarlo.blas_threads() == 2
+        assert cores.blas_threads() == 2
 
     @pytest.mark.parametrize("error", [NoConvergence, np.linalg.LinAlgError])
     def test_consistency_fault_is_flagged_and_others_unchanged(self, monkeypatch, quick_spec, error):
