@@ -26,13 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import Alignment, BlockDecomposition, spike_quadratic_form
+from .eigen import Alignment, BlockDecomposition, shifted_resolvent_diag, spike_quadratic_form
 from .errors import (
     InvalidDims,
     NoRoot,
-    NotInvertible,
     NotSeparated,
     SeriesDiverges,
+    SpikeAtOne,
     TiedEigenvalues,
 )
 from .model import EntryLaw
@@ -163,16 +163,16 @@ class PolynomialCoefficients:
     M: int = 0
     n: int = 0
 
-    def soft_bound_check(self, C: float = SOFT_BOUND_C) -> None:
+    def soft_bound_check(self) -> None:
         if self.n <= 0 or self.M <= 0:
             return
         scale = self.M / self.n
-        if abs(self.O_bar) > C * scale:
+        if abs(self.O_bar) > SOFT_BOUND_C * scale:
             warnings.warn(
-                f"|Obar| = {abs(self.O_bar):.3e} exceeds C*M/n = {C * scale:.3e}",
+                f"|Obar| = {abs(self.O_bar):.3e} exceeds C*M/n = {SOFT_BOUND_C * scale:.3e}",
                 stacklevel=2,
             )
-        log_c = math.log(C)
+        log_c = math.log(SOFT_BOUND_C)
         js = np.nonzero(np.abs(self.O_j) > 0)[0]
         for j in js:
             # bound |Obar_j| <= C^(j+1) M/n compared in log space (C^j overflows)
@@ -182,18 +182,6 @@ class PolynomialCoefficients:
                     stacklevel=2,
                 )
                 break
-
-    def to_record(self) -> dict:
-        return {
-            "s": self.s,
-            "a": self.a.tolist(),
-            "b": self.b.tolist(),
-            "c": self.c.tolist(),
-            "O_bar": self.O_bar,
-            "O_j": self.O_j.tolist(),
-            "M": self.M,
-            "n": self.n,
-        }
 
 
 def polynomial_coefficients(spikes, nu: int, n: int, s: int | None = None) -> PolynomialCoefficients:
@@ -230,7 +218,7 @@ def root_residual(coeffs: PolynomialCoefficients, x: float) -> float:
     return abs(x - _poly_map(coeffs, x))
 
 
-def solve_x(coeffs: PolynomialCoefficients, max_iter: int = 200) -> float:
+def solve_x(coeffs: PolynomialCoefficients) -> float:
     """Root of x = Obar + sum Obar_j x^j near zero.
 
     Fixed-point iteration from 0 when the contraction heuristic
@@ -246,7 +234,7 @@ def solve_x(coeffs: PolynomialCoefficients, max_iter: int = 200) -> float:
     contraction = float(np.sum(np.abs(O_j) * powers))
     if contraction < 1.0:
         x = 0.0
-        for _ in range(max_iter):
+        for _ in range(200):
             nxt = _poly_map(coeffs, x)
             if abs(nxt - x) <= 2.5e-14 * (1.0 + abs(nxt)):
                 x = nxt
@@ -302,11 +290,7 @@ def iterate_x_expansion(coeffs: PolynomialCoefficients, k0: int) -> float:
 
 def trace_centering(M_diag, l_hat_nu: float, n: int) -> float:
     """(1/n) tr(M (l_hat I - M)^{-1}); requires l_hat above the bulk."""
-    m = np.asarray(M_diag, dtype=np.float64)
-    top = float(np.max(m)) if m.size else 0.0
-    if l_hat_nu <= top:
-        raise NotInvertible(f"l_hat = {l_hat_nu:g} <= max eigenvalue of S_BB = {top:g}")
-    return float(np.sum(m / (l_hat_nu - m)) / n)
+    return float(np.sum(shifted_resolvent_diag(M_diag, l_hat_nu)) / n)
 
 
 def statistical_centering(l_hat, nu: int, n: int) -> float:
@@ -323,8 +307,6 @@ def statistical_centering(l_hat, nu: int, n: int) -> float:
 def oracle_centering(l_nu: float, N: int, M: int, n: int) -> float:
     """(N - M) / (n (l_nu - 1)), the fully deterministic bulk term."""
     if l_nu <= 1.0 + 1e-12:
-        from .errors import SpikeAtOne
-
         raise SpikeAtOne(f"oracle centering needs l > 1, got {l_nu:g}")
     return (N - M) / (n * (l_nu - 1.0))
 
@@ -349,26 +331,25 @@ def deterministic_shift(spikes, nu: int, n: int, x_mode: str, coeffs=None) -> fl
     raise InvalidDims(f"unknown x_mode {x_mode!r}")
 
 
-@dataclass
-class CenteringBundle:
-    """All centerings of one instance, plus the CLT scale sqrt(n/(Ez^4-1))."""
+def clt_centering(
+    mode: str, l_hat_nu: float, nu: int, n: int, bulk, x: float, l_hat=None
+) -> float:
+    """The CLT centering: empirical, deterministic, or a sum of both.
 
-    c_tr: float
-    stat_sum: float
-    oracle: float
-    x: float
-    x_tilde: float
-    scale: float
-
-    def to_record(self) -> dict:
-        return {
-            "c_tr": self.c_tr,
-            "stat_sum": self.stat_sum,
-            "oracle": self.oracle,
-            "x": self.x,
-            "x_tilde": self.x_tilde,
-            "scale": self.scale,
-        }
+    mode "mixed" is the trace term + x, "statistical" the trace term + the
+    empirical spike sum (needs the top-M sample eigenvalues ``l_hat``; x is
+    unused), "oracle" the deterministic bulk term + x. ``bulk`` is the S_BB
+    spectrum for the two trace modes and the oracle term for "oracle".
+    """
+    if mode == "oracle":
+        return bulk + x
+    if mode == "mixed":
+        return trace_centering(bulk, l_hat_nu, n) + x
+    if mode == "statistical":
+        if l_hat is None:
+            raise InvalidDims("statistical mode needs the top-M sample eigenvalues")
+        return trace_centering(bulk, l_hat_nu, n) + statistical_centering(l_hat, nu, n)
+    raise InvalidDims(f"unknown mode {mode!r}")
 
 
 def clt_statistic_value(
@@ -400,54 +381,14 @@ def clt_statistics(
     default drops x when M <= sqrt(n)/4.
     """
     ls = np.atleast_1d(np.asarray(spikes, dtype=np.float64))
-    n = bd.n
-    N = bd.N
-    M = len(ls)
-    nu = al.nu
+    n, M, nu = bd.n, len(ls), al.nu
     l_nu = ls[nu - 1]
-    x_mode = resolve_x_mode(x_mode, n, M)
-    if mode == "mixed":
-        centering = trace_centering(bd.M_diag, al.l_hat, n) + deterministic_shift(
-            ls, nu, n, x_mode
-        )
-    elif mode == "statistical":
-        if l_hat is None:
-            raise InvalidDims("statistical mode needs the top-M sample eigenvalues")
-        centering = trace_centering(bd.M_diag, al.l_hat, n) + statistical_centering(
-            l_hat, nu, n
-        )
-    elif mode == "oracle":
-        centering = oracle_centering(l_nu, N, M, n) + deterministic_shift(
-            ls, nu, n, x_mode
-        )
-    else:
-        raise InvalidDims(f"unknown mode {mode!r}")
+    x = 0.0
+    if mode != "statistical":
+        x = deterministic_shift(ls, nu, n, resolve_x_mode(x_mode, n, M))
+    bulk = oracle_centering(l_nu, bd.N, M, n) if mode == "oracle" else bd.M_diag
+    centering = clt_centering(mode, al.l_hat, nu, n, bulk, x, l_hat)
     return clt_statistic_value(al.l_hat, l_nu, centering, law, n)
-
-
-def centering_bundle(
-    bd: BlockDecomposition,
-    al: Alignment,
-    spikes,
-    law: EntryLaw,
-    l_hat=None,
-    k0: int = 4,
-) -> CenteringBundle:
-    """Evaluate every centering component once for reporting."""
-    ls = np.atleast_1d(np.asarray(spikes, dtype=np.float64))
-    n, N, M = bd.n, bd.N, len(ls)
-    coeffs = polynomial_coefficients(ls, al.nu, n)
-    stat = math.nan
-    if l_hat is not None:
-        stat = statistical_centering(l_hat, al.nu, n)
-    return CenteringBundle(
-        c_tr=trace_centering(bd.M_diag, al.l_hat, n),
-        stat_sum=stat,
-        oracle=oracle_centering(ls[al.nu - 1], N, M, n),
-        x=solve_x(coeffs),
-        x_tilde=iterate_x_expansion(coeffs, k0),
-        scale=math.sqrt(n / (law.fourth_moment - 1.0)),
-    )
 
 
 @dataclass

@@ -27,6 +27,7 @@ from .eigen import alignment, block_decompose, sample_covariance, sym_eigen, ver
 from .errors import ConfigInvalid, NumericPrecondition, SpikedCovError
 from .model import generate_data
 from .montecarlo import (
+    STATISTIC_FAMILIES,
     concentration_hw_check,
     concentration_sm_check,
     consistency_report,
@@ -67,10 +68,7 @@ class Manifest:
 
     def write(self) -> None:
         self.record["finished"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        path = os.path.join(self.out_dir, "manifest.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.record, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(self.out_dir, "manifest.json"), self.record)
 
 
 def _write_json(path, record) -> None:
@@ -84,6 +82,24 @@ def _require_positive(**values) -> None:
     for name, value in values.items():
         if not (math.isfinite(value) and value > 0):
             raise ConfigInvalid(f"--{name.replace('_', '-')} must be finite and > 0, got {value}")
+
+
+def _experiment(args, command: str, **overrides):
+    """The job's config; its statistic must be in the command's family."""
+    config = build_experiment(
+        load_config(args.config),
+        replicates=args.replicates,
+        master_seed=args.seed,
+        workers=args.threads,
+        **overrides,
+    )
+    family = STATISTIC_FAMILIES[command]
+    if config.statistic not in family:
+        raise ConfigInvalid(
+            f"statistic {config.statistic!r} is not a {command} statistic: "
+            f"want one of {', '.join(family)}"
+        )
+    return config
 
 
 def _run_experiment_job(args, config) -> int:
@@ -147,30 +163,14 @@ def cmd_eigs(args) -> int:
 
 
 def cmd_clt(args) -> int:
-    parser = load_config(args.config)
     statistic = f"clt_{args.mode}" if args.mode else None
-    config = build_experiment(
-        parser,
-        statistic=statistic,
-        replicates=args.replicates,
-        master_seed=args.seed,
-        x_mode=args.x_mode,
-        workers=args.threads,
-    )
+    config = _experiment(args, "clt", statistic=statistic, x_mode=args.x_mode)
     return _run_experiment_job(args, config)
 
 
 def cmd_eigvec(args) -> int:
-    parser = load_config(args.config)
     statistic = f"eigvec_{args.variant}" if args.variant else None
-    config = build_experiment(
-        parser,
-        statistic=statistic,
-        replicates=args.replicates,
-        master_seed=args.seed,
-        empirical=args.empirical or None,
-        workers=args.threads,
-    )
+    config = _experiment(args, "eigvec", statistic=statistic, empirical=args.empirical or None)
     return _run_experiment_job(args, config)
 
 
@@ -250,14 +250,7 @@ def cmd_check_identities(args) -> int:
 
 
 def cmd_consistency(args) -> int:
-    parser = load_config(args.config)
-    config = build_experiment(
-        parser,
-        statistic="consistency",
-        replicates=args.replicates,
-        master_seed=args.seed,
-        workers=args.threads,
-    )
+    config = _experiment(args, "consistency", statistic="consistency")
     rep = consistency_report(config)
     os.makedirs(args.out, exist_ok=True)
     manifest = Manifest(args.config, args.out, config.master_seed)
@@ -287,10 +280,9 @@ def cmd_concentration(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     manifest = Manifest(None, args.out, args.seed)
     if args.kind == "sm":
-        rec = concentration_sm_check(
+        out = concentration_sm_check(
             args.p, args.q, law, args.t, args.replicates, args.seed, C=args.constant
         )
-        out = {k: v for k, v in rec.items()}
     else:
         t_grid = np.linspace(args.t_min, args.t_max, args.t_count)
         rec = concentration_hw_check(
@@ -329,11 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
+    def common(p):
         p.add_argument("--config", required=True)
-        if out:
-            p.add_argument("--out", required=True)
+        p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=None)
+
+    def experiment(p):
+        common(p)
+        p.add_argument("--replicates", type=int, default=None)
         p.add_argument("--threads", type=int, default=None)
 
     g = sub.add_parser("generate", help="write simulated data matrices")
@@ -346,17 +341,15 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(fn=cmd_eigs)
 
     c = sub.add_parser("clt", help="eigenvalue CLT experiment")
-    common(c)
+    experiment(c)
     c.add_argument("--mode", choices=["mixed", "statistical", "oracle"], default=None)
     c.add_argument("--x-mode", default=None, help="root | iter:<k0> | zero | auto")
-    c.add_argument("--replicates", type=int, default=None)
     c.set_defaults(fn=cmd_clt)
 
     v = sub.add_parser("eigvec", help="eigenvector consistency experiment")
-    common(v)
+    experiment(v)
     v.add_argument("--variant", choices=["A", "B", "C1", "C2"], default=None)
     v.add_argument("--empirical", action="store_true")
-    v.add_argument("--replicates", type=int, default=None)
     v.set_defaults(fn=cmd_eigvec)
 
     m = sub.add_parser("mp", help="tabulate the MP Stieltjes transform")
@@ -374,8 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.set_defaults(fn=cmd_check_identities)
 
     s = sub.add_parser("consistency", help="eigenstructure consistency experiment")
-    common(s)
-    s.add_argument("--replicates", type=int, default=None)
+    experiment(s)
     s.set_defaults(fn=cmd_consistency)
 
     z = sub.add_parser("concentration", help="empirical concentration checks")

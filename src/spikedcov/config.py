@@ -12,7 +12,7 @@ One INI-style file per experiment with two sections::
     gamma_bound = 10
 
     [experiment]
-    statistic = clt_oracle
+    statistic = clt_oracle                     ; clt_* under clt, eigvec_* under eigvec
     nu = 1
     replicates = 400
     master_seed = 20260810
@@ -21,6 +21,9 @@ One INI-style file per experiment with two sections::
     eps0 = 0.1
 
 Command-line flags override file values; precedence is flag > file > default.
+The statistic must belong to the command that runs it (clt_mixed,
+clt_statistical, clt_oracle; eigvec_A/B/C1/C2; consistency), or the
+command stops with a config error.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ from .errors import (
     DegenerateAlignment,
     DegenerateSVD,
     IndexOutOfRange,
+    NoConvergence,
     NotInvertible,
     NotSymmetric,
 )
@@ -94,26 +95,24 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs[np.newaxis, :]
 
 
-def sym_eigen(A: np.ndarray, rtol: float = 1e-12) -> EigenSystem:
+def sym_eigen(A: np.ndarray) -> EigenSystem:
     """Full eigendecomposition of a symmetric matrix, descending order.
 
     Raises
     ------
     NotSymmetric
-        If max |A - A^T| exceeds ``rtol`` relative to max |A|.
+        If max |A - A^T| exceeds 1e-12 relative to max |A|.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {A.shape}")
     scale = max(np.max(np.abs(A)), 1.0)
     asym = np.max(np.abs(A - A.T))
-    if asym > rtol * scale:
-        raise NotSymmetric(f"max |A - A^T| = {asym:.3e} exceeds {rtol:g} * {scale:g}")
+    if asym > 1e-12 * scale:
+        raise NotSymmetric(f"max |A - A^T| = {asym:.3e} exceeds 1e-12 * {scale:g}")
     try:
         values, vectors = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        from .errors import NoConvergence
-
         raise NoConvergence(str(exc)) from exc
     order = np.arange(len(values))[::-1]  # eigh is ascending; ties keep input order
     return EigenSystem(values=values[order].copy(), vectors=_fix_signs(vectors[:, order]))

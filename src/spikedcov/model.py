@@ -61,9 +61,9 @@ class EntryLaw:
     def two_point(cls, p: float) -> "EntryLaw":
         return cls("twopoint", p=p)
 
-    def eligible_for_clt(self, delta0: float = DEFAULT_DELTA0) -> bool:
-        """Whether E[z^4] >= 1 + delta0; Rademacher (p=1/2) never qualifies."""
-        return self.fourth_moment >= 1.0 + delta0
+    def eligible_for_clt(self) -> bool:
+        """Whether E[z^4] >= 1 + DEFAULT_DELTA0; Rademacher (p=1/2) never qualifies."""
+        return self.fourth_moment >= 1.0 + DEFAULT_DELTA0
 
     def sample(self, stream: Stream, shape) -> np.ndarray:
         if self.kind == "gaussian":
@@ -98,9 +98,9 @@ def parse_spike_rule(rule, n: int) -> float:
     return c * float(n) ** a
 
 
-def random_orthogonal(dim: int, master_seed: int, label: str = "basis") -> np.ndarray:
+def random_orthogonal(dim: int, master_seed: int) -> np.ndarray:
     """Haar-ish orthogonal matrix: QR of a Gaussian with sign-fixed R diagonal."""
-    g = Stream(master_seed, label).normals((dim, dim))
+    g = Stream(master_seed, "basis").normals((dim, dim))
     q, r = np.linalg.qr(g)
     signs = np.sign(np.diag(r))
     signs[signs == 0.0] = 1.0
@@ -156,14 +156,6 @@ class SpikedModelSpec:
 
     def sqrt_lambda(self) -> np.ndarray:
         return np.sqrt(self.spikes)
-
-    def sigma(self) -> np.ndarray:
-        """The population covariance Sigma (dense; for diagnostics only)."""
-        d = np.ones(self.N)
-        d[: self.M] = self.spikes
-        if self.basis is None:
-            return np.diag(d)
-        return (self.basis * d[np.newaxis, :]) @ self.basis.T
 
 
 @dataclass(frozen=True)

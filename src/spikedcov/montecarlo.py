@@ -32,20 +32,17 @@ from .eigvec import eigvec_statistic
 from .model import DEFAULT_DELTA0, SpikedModelSpec, check_separation, sample_entry_matrix
 from .rng import Stream, derive_key
 
-SIM_STATISTICS = (
-    "clt_mixed",
-    "clt_statistical",
-    "clt_oracle",
-    "eigvec_A",
-    "eigvec_B",
-    "eigvec_C1",
-    "eigvec_C2",
-    "consistency",
-    "concentration_sm",
-    "concentration_hw",
-)
-
 CLT_STATISTICS = ("clt_mixed", "clt_statistical", "clt_oracle")
+EIGVEC_STATISTICS = ("eigvec_A", "eigvec_B", "eigvec_C1", "eigvec_C2")
+
+#: The statistics each command runs; run_experiment serves clt and eigvec,
+#: consistency_report serves consistency.
+STATISTIC_FAMILIES = {
+    "clt": CLT_STATISTICS,
+    "eigvec": EIGVEC_STATISTICS,
+    "consistency": ("consistency",),
+}
+SIM_STATISTICS = CLT_STATISTICS + EIGVEC_STATISTICS + ("consistency",)
 
 #: Faults that flag one replicate instead of aborting the job.
 REPLICATE_FAULTS = (NumericPrecondition, np.linalg.LinAlgError)
@@ -61,7 +58,6 @@ class ExperimentConfig:
     x_mode: str = "auto"
     empirical: bool = False
     eps0: float = 0.1
-    delta0: float = DEFAULT_DELTA0
     workers: int | None = None
 
     def validate(self) -> None:
@@ -77,10 +73,10 @@ class ExperimentConfig:
             raise ConfigInvalid(f"x_mode {self.x_mode!r}: want root, iter:<k0 >= 1>, zero or auto")
         if self.workers is None:
             default_workers()  # a malformed SPIKED_EIG_THREADS fails here, before any replicate
-        if self.statistic in CLT_STATISTICS and not self.spec.law.eligible_for_clt(self.delta0):
+        if self.statistic in CLT_STATISTICS and not self.spec.law.eligible_for_clt():
             raise ConfigInvalid(
                 f"law {self.spec.law.label()} has E[z^4] = {self.spec.law.fourth_moment:g} "
-                f"< 1 + {self.delta0:g}: ineligible for CLT experiments"
+                f"< 1 + {DEFAULT_DELTA0:g}: ineligible for CLT experiments"
             )
         self.spec.validate()
 
@@ -96,7 +92,6 @@ class ExperimentReport:
     variance: float
     skewness: float
     kurtosis: float
-    violations: int
     per_replicate_flags: list
     config_flags: list = field(default_factory=list)
     rows: list = field(default_factory=list)
@@ -117,7 +112,6 @@ class ExperimentReport:
             "variance": self.variance,
             "skewness": self.skewness,
             "kurtosis": self.kurtosis,
-            "violations": self.violations,
             "successes": self.successes,
             "flagged": self.flagged,
             "flags": self.config_flags,
@@ -153,16 +147,6 @@ def ks_statistic(samples, reference_cdf) -> float:
 def _normal_cdf(x) -> np.ndarray:
     """Phi(x) = erfc(-x / sqrt 2) / 2, the KS reference for the CLT statistics."""
     return np.array([0.5 * math.erfc(-t / math.sqrt(2.0)) for t in np.ravel(x).tolist()])
-
-
-def ecdf(sample):
-    """Empirical CDF of a reference sample, usable as a ks_statistic target."""
-    ref = np.sort(np.asarray(sample, dtype=np.float64))
-
-    def cdf(t):
-        return np.searchsorted(ref, t, side="right") / len(ref)
-
-    return cdf
 
 
 def _moments(values: np.ndarray) -> tuple[float, float, float, float]:
@@ -211,54 +195,22 @@ def simulate_instance(
 
 
 def _replicate_value(config: ExperimentConfig, r: int, x_shift: float):
-    """One replicate's statistic value, or a guard flag."""
-    spec = config.spec
-    stat = config.statistic
+    """One clt or eigvec replicate's statistic value, or a guard flag."""
+    spec, stat, nu = config.spec, config.statistic, config.nu
     seed = config.replicate_seed(r)
     try:
-        if stat == "concentration_sm":
-            # singular-value band of the replicate's N x n entry matrix,
-            # t = n^{1/4} and the calibrated C = 2 (the dedicated check
-            # exposes all knobs; this path drives it from a model config)
-            z = sample_entry_matrix(spec.N, spec.n, spec.law, seed)
-            svals = np.linalg.svd(z, compute_uv=False)
-            t = spec.n**0.25 if spec.N >= spec.n else spec.N**0.25
-            big = math.sqrt(max(spec.N, spec.n))
-            small = math.sqrt(min(spec.N, spec.n))
-            lower, upper = big - 2.0 * (small + t), big + 2.0 * (small + t)
-            bad = svals[0] > upper or svals[0] < lower or svals[-1] < lower or svals[-1] > upper
-            return float(bad), None, seed
-        if stat == "concentration_hw":
-            # centered quadratic form y^T y - N on one feature column
-            z = sample_entry_matrix(spec.N, 1, spec.law, seed)
-            return float(z[:, 0] @ z[:, 0] - spec.N), None, seed
-        need_vec = stat.startswith("eigvec") or stat == "consistency"
         need_bulk = stat in ("clt_mixed", "clt_statistical")
-        nu = config.nu
-        inst = simulate_instance(spec, seed, need_vec, need_bulk)
+        inst = simulate_instance(spec, seed, stat in EIGVEC_STATISTICS, need_bulk)
         if stat in CLT_STATISTICS:
             l_hat_nu = float(inst.l_hat[nu - 1])
             l_nu = float(spec.spikes[nu - 1])
-            if stat == "clt_oracle":
-                c = ctr.oracle_centering(l_nu, spec.N, spec.M, spec.n) + x_shift
-            elif stat == "clt_mixed":
-                c = ctr.trace_centering(inst.M_diag, l_hat_nu, spec.n) + x_shift
-            else:
-                c = ctr.trace_centering(inst.M_diag, l_hat_nu, spec.n)
-                c += ctr.statistical_centering(inst.l_hat, nu, spec.n)
-            value = ctr.clt_statistic_value(l_hat_nu, l_nu, c, spec.law, spec.n)
-            return value, None, seed
-        if stat.startswith("eigvec_"):
-            variant = stat.split("_", 1)[1]
-            al = alignment(EigenSystem(inst.l_hat, inst.vectors), None, spec.spikes, nu)
-            source = inst.l_hat if config.empirical else spec.spikes
-            es = eigvec_statistic(
-                al, source, nu, spec.n, spec.N, spec.M, variant, config.empirical
-            )
-            return es.value, None, seed
-        # consistency: max relative eigenvalue error over k <= nu
-        err = float(np.max(np.abs(inst.l_hat[:nu] / spec.spikes[:nu] - 1.0)))
-        return err, None, seed
+            bulk = inst.M_diag if need_bulk else ctr.oracle_centering(l_nu, spec.N, spec.M, spec.n)
+            c = ctr.clt_centering(stat[4:], l_hat_nu, nu, spec.n, bulk, x_shift, inst.l_hat)
+            return ctr.clt_statistic_value(l_hat_nu, l_nu, c, spec.law, spec.n), None, seed
+        al = alignment(EigenSystem(inst.l_hat, inst.vectors), None, spec.spikes, nu)
+        source = inst.l_hat if config.empirical else spec.spikes
+        es = eigvec_statistic(al, source, nu, spec.n, spec.N, spec.M, stat[7:], config.empirical)
+        return es.value, None, seed
     except REPLICATE_FAULTS as exc:
         return math.nan, type(exc).__name__, seed
 
@@ -266,13 +218,13 @@ def _replicate_value(config: ExperimentConfig, r: int, x_shift: float):
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run all replicates and aggregate; deterministic given master_seed."""
     config.validate()
+    if config.statistic not in CLT_STATISTICS + EIGVEC_STATISTICS:
+        raise ConfigInvalid(f"{config.statistic!r} is not a clt or eigvec statistic")
     config_flags = []
-    if not config.statistic.startswith("concentration"):
-        sep = check_separation(config.spec, config.nu, config.eps0)
-        if not sep.separated:
-            config_flags.append("not_separated")
-        if config.spec.spikes[config.nu - 1] <= 1.0 + config.eps0:
-            config_flags.append("no_divergent_spike")
+    if not check_separation(config.spec, config.nu, config.eps0).separated:
+        config_flags.append("not_separated")
+    if config.spec.spikes[config.nu - 1] <= 1.0 + config.eps0:
+        config_flags.append("no_divergent_spike")
     x_shift, row_extra, extra = 0.0, {}, {}
     if config.statistic in ("clt_mixed", "clt_oracle"):
         # one build of the polynomial coefficients serves x and its residual
@@ -313,7 +265,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     samples = np.asarray(values, dtype=np.float64)
     ks = ks_statistic(samples, _normal_cdf) if len(samples) else math.nan
     mean, var, skew, kurt = _moments(samples)
-    violations = int(np.sum(samples)) if config.statistic == "concentration_sm" else 0
     return ExperimentReport(
         samples=samples,
         ks_normal=ks,
@@ -321,7 +272,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         variance=var,
         skewness=skew,
         kurtosis=kurt,
-        violations=violations,
         per_replicate_flags=flags,
         config_flags=config_flags,
         rows=rows,
@@ -374,6 +324,10 @@ def consistency_report(config: ExperimentConfig) -> dict:
     }
 
 
+#: Matrices drawn and factored per batch of concentration_sm_check.
+_SM_CHUNK = 128
+
+
 def concentration_sm_check(
     p: int,
     q: int,
@@ -382,7 +336,6 @@ def concentration_sm_check(
     reps: int,
     seed: int,
     C: float = 2.0,
-    chunk: int = 128,
 ) -> dict:
     """Empirical violation rate of the two-sided singular value band.
 
@@ -399,7 +352,7 @@ def concentration_sm_check(
     violations = 0
     done = 0
     while done < reps:
-        take = min(chunk, reps - done)
+        take = min(_SM_CHUNK, reps - done)
         A = law.sample(stream, (take, p, q))
         # each matrix's SVD is independent, so the split leaves its bits alone
         parts = np.array_split(A, min(take, free_workers()))

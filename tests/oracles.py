@@ -171,3 +171,13 @@ def newton_refine_root(O_bar, O_j, x0, dps=60):
             if abs(step) < mpmath.mpf(10) ** (-dps + 5):
                 break
         return float(x)
+
+
+def ecdf(sample):
+    """Empirical CDF of a reference sample, usable as a ks_statistic target."""
+    ref = np.sort(np.asarray(sample, dtype=np.float64))
+
+    def cdf(t):
+        return np.searchsorted(ref, t, side="right") / len(ref)
+
+    return cdf

@@ -28,14 +28,13 @@ from spikedcov.montecarlo import (
     concentration_hw_check,
     concentration_sm_check,
     consistency_report,
-    ecdf,
     ks_statistic,
     run_experiment,
 )
 from spikedcov.config import parse_law
 from spikedcov.rng import Stream
 
-from .oracles import naive_abc, naive_compose_eval, naive_matrix_polynomial
+from .oracles import ecdf, naive_abc, naive_compose_eval, naive_matrix_polynomial
 
 ACC = json.loads((Path(__file__).resolve().parent.parent / "configs" / "acceptance.json").read_text())
 
@@ -476,7 +475,6 @@ def test_criterion_10_determinism():
             (ACC["oracle_clt"], "clt_oracle", {"x_mode": "zero"}),
             (ACC["oracle_clt"], "clt_statistical", {}),
             (ACC["oracle_clt"], "clt_mixed", {"x_mode": "root"}),
-            (ACC["consistency"], "consistency", {}),
             (ACC["eigvec"]["regime_c1"], "eigvec_C1", {}),
             (ACC["eigvec"]["regime_a"], "eigvec_B", {"empirical": True}),
         ):
@@ -487,6 +485,16 @@ def test_criterion_10_determinism():
                 workers=WORKERS, **extra,
             )
             h.update(_digest_report(run_experiment(config)).encode())
+        # consistency has its own harness: hash its per-replicate arrays
+        block = ACC["consistency"]
+        spec_b = _spec(block)
+        cons = consistency_report(ExperimentConfig(
+            spec=spec_b, nu=block.get("nu", spec_b.M), replicates=reduced,
+            master_seed=block["master_seed"], statistic="consistency", workers=WORKERS,
+        ))
+        for key in ("max_ratio_error", "inner_sq", "median_max_ratio_error", "median_inner_sq"):
+            h.update(cons[key].tobytes())
+        h.update(json.dumps([cons["seeds"], cons["per_replicate_flags"], cons["flags"]]).encode())
         # polynomial pipeline
         for spikes, nu, M in _polynomial_instances()[:6]:
             coeffs = polynomial_coefficients(spikes, nu, ACC["polynomial"]["n"])

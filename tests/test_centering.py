@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spikedcov.centering import (
+    clt_centering,
     clt_statistics,
     compose_O,
     deterministic_shift,
@@ -256,24 +257,30 @@ class TestCltStatistics:
         assert gap == pytest.approx(orc - c_tr, rel=1e-10)
 
 
-class TestCenteringBundle:
-    def test_bundle_fields_and_record(self, instance, gaussian):
-        from spikedcov.centering import centering_bundle
+class TestCltCentering:
+    """The one place that picks trace/oracle base and x/empirical extra."""
 
-        spec, bd, eig, al = instance
-        bundle = centering_bundle(bd, al, spec.spikes, gaussian, l_hat=eig.values[:3])
-        rec = bundle.to_record()
-        assert set(rec) == {"c_tr", "stat_sum", "oracle", "x", "x_tilde", "scale"}
-        assert rec["scale"] == pytest.approx(math.sqrt(spec.n / 2.0))
-        assert rec["c_tr"] >= 0.0
-        assert abs(rec["x"] - rec["x_tilde"]) <= 1e-8
+    BULK = np.array([0.5, 1.0, 2.0])
 
-    def test_coefficients_record(self):
-        coeffs = polynomial_coefficients([40.0, 10.0], 1, 500)
-        rec = coeffs.to_record()
-        assert rec["s"] == coeffs.s
-        assert rec["O_bar"] == coeffs.O_bar
-        assert len(rec["O_j"]) == 2 * coeffs.s**2 + 2 * coeffs.s
+    def test_each_mode_is_its_two_terms(self):
+        l_hat = np.array([50.0, 20.0, 8.0])
+        tr = trace_centering(self.BULK, 20.0, 100)
+        assert clt_centering("mixed", 20.0, 2, 100, self.BULK, 0.01) == tr + 0.01
+        assert clt_centering("statistical", 20.0, 2, 100, self.BULK, 0.01, l_hat) == (
+            tr + statistical_centering(l_hat, 2, 100)
+        )
+        assert clt_centering("oracle", 20.0, 2, 100, 0.25, 0.01) == 0.25 + 0.01
+
+    def test_statistical_needs_lhat_and_unknown_mode(self):
+        with pytest.raises(InvalidDims):
+            clt_centering("statistical", 20.0, 2, 100, self.BULK, 0.0)
+        with pytest.raises(InvalidDims):
+            clt_centering("hybrid", 20.0, 2, 100, self.BULK, 0.0)
+
+    def test_trace_modes_need_lhat_above_bulk(self):
+        for mode in ("mixed", "statistical"):
+            with pytest.raises(NotInvertible):
+                clt_centering(mode, 2.0, 1, 100, self.BULK, 0.0, np.array([2.0, 1.0]))
 
 
 class TestSeriesExpansion:

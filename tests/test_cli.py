@@ -1,7 +1,10 @@
+import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spikedcov
-from spikedcov import cores, matio
+from spikedcov import cli, cores, matio
 from spikedcov.cli import main
 
 CLT_ORACLE_DESK = Path(__file__).resolve().parent.parent / "configs" / "clt_oracle_desk.ini"
@@ -334,11 +337,70 @@ class TestExitCodeContract:
         assert len(proc.stderr.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, edit", [
+        pytest.param("clt", ("statistic = clt_oracle", "statistic = eigvec_A"), id="clt-eigvec_A"),
+        pytest.param("clt", ("statistic = clt_oracle", "statistic = concentration_hw"),
+                     id="clt-concentration_hw"),
+        # no statistic in the file: the default, clt_oracle, is no eigvec statistic
+        pytest.param("eigvec", ("statistic = clt_oracle\n", ""), id="eigvec-default"),
+    ])
+    def test_statistic_outside_the_command_family_is_config_error(self, tmp_path, command, edit):
+        cfg = tmp_path / "family.ini"
+        cfg.write_text(DESK.replace(*edit))
+        out = tmp_path / "o"
+        proc = run_cli([command, "--config", str(cfg), "--out", str(out), "--replicates", "2"], {})
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error:")
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "eigs"])
+    def test_single_job_commands_take_no_threads_flag(self, tmp_path, desk_config, command):
+        out = tmp_path / "o"
+        proc = run_cli([command, "--config", desk_config, "--out", str(out), "--threads", "1"], {})
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "unrecognized arguments: --threads 1" in proc.stderr
+        assert not out.exists()
+
     def test_x_mode_from_config_file_is_checked(self, tmp_path, capsys):
         cfg = tmp_path / "bad_x.ini"
         cfg.write_text(DESK.replace("x_mode = zero", "x_mode = iter:x"))
         assert main(["clt", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "x_mode" in capsys.readouterr().err
+
+
+def _reachable_source(fn) -> str:
+    """Source of ``fn`` and of every cli function it calls, transitively."""
+    seen, todo, parts = set(), [fn], []
+    while todo:
+        f = todo.pop()
+        if f.__name__ in seen:
+            continue
+        seen.add(f.__name__)
+        src = inspect.getsource(f)
+        parts.append(src)
+        for name in re.findall(r"\b(\w+)\(", src):
+            obj = getattr(cli, name, None)
+            if inspect.isfunction(obj) and obj.__module__ == cli.__name__:
+                todo.append(obj)
+    return "\n".join(parts)
+
+
+def test_every_flag_is_read_by_its_command():
+    """A flag that no handler reads does nothing; none may exist."""
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    unread = []
+    for name, p in sub.choices.items():
+        source = _reachable_source(p.get_default("fn"))
+        for action in p._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            if not re.search(rf"\bargs\.{action.dest}\b", source):
+                unread.append(f"{name}: {action.option_strings}")
+    assert unread == []
 
 
 BLOCK_SCIPY = """\

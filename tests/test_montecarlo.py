@@ -19,11 +19,12 @@ from spikedcov.montecarlo import (
     concentration_hw_check,
     concentration_sm_check,
     consistency_report,
-    ecdf,
     ks_statistic,
     run_experiment,
     simulate_instance,
 )
+
+from .oracles import ecdf
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +142,12 @@ class TestRunExperiment:
         with pytest.raises(ConfigInvalid):
             run_experiment(quick_config(quick_spec, statistic="nope"))
 
+    @pytest.mark.parametrize("statistic", ["consistency", "concentration_sm", "concentration_hw"])
+    def test_only_clt_and_eigvec_statistics(self, quick_spec, statistic):
+        # consistency runs through consistency_report; concentration has its own checks
+        with pytest.raises(ConfigInvalid):
+            run_experiment(quick_config(quick_spec, statistic=statistic))
+
 
 class TestConsistencyReport:
     def test_shapes_and_medians(self, quick_spec):
@@ -196,22 +203,6 @@ class TestReplicateOrderFreedom:
             for lh in parts
         ]
         np.testing.assert_allclose(full.samples, vals, rtol=0, atol=0)
-
-
-class TestConfigDrivenConcentration:
-    def test_sm_statistic_counts_violations(self, quick_spec):
-        rep = run_experiment(
-            quick_config(quick_spec, statistic="concentration_sm", replicates=20)
-        )
-        assert rep.violations == int(np.sum(rep.samples))
-        assert rep.successes == 20
-
-    def test_hw_statistic_centered(self, quick_spec):
-        rep = run_experiment(
-            quick_config(quick_spec, statistic="concentration_hw", replicates=200)
-        )
-        # y^T y - N over 200 columns: mean near 0 at sd sqrt(2N)
-        assert abs(rep.mean) <= 5 * np.sqrt(2 * quick_spec.N / 200)
 
 
 class TestWorkerDefaults:
@@ -396,12 +387,16 @@ def dense_reference(desk_spec):
 def dense_value(spec, statistic, nu, eig, m_diag, x_shift):
     n, l_hat = spec.n, eig.values[: spec.M]
     if statistic.startswith("clt"):
-        c = ctr.trace_centering(m_diag, l_hat[nu - 1], n)
-        if statistic == "clt_mixed":
-            c += x_shift
+        l_nu = spec.spikes[nu - 1]
+        if statistic == "clt_oracle":
+            c = (spec.N - spec.M) / (n * (l_nu - 1.0)) + x_shift
         else:
-            c += ctr.statistical_centering(l_hat, nu, n)
-        return ctr.clt_statistic_value(l_hat[nu - 1], spec.spikes[nu - 1], c, spec.law, n)
+            c = ctr.trace_centering(m_diag, l_hat[nu - 1], n)
+            if statistic == "clt_mixed":
+                c += x_shift
+            else:
+                c += ctr.statistical_centering(l_hat, nu, n)
+        return ctr.clt_statistic_value(l_hat[nu - 1], l_nu, c, spec.law, n)
     if statistic.startswith("eigvec"):
         al = alignment(eig, None, spec.spikes, nu)
         return eigvec_statistic(al, spec.spikes, nu, n, spec.N, spec.M, statistic[7:]).value
@@ -410,20 +405,26 @@ def dense_value(spec, statistic, nu, eig, m_diag, x_shift):
 
 class TestKernelAgainstDenseReference:
     @pytest.mark.parametrize("statistic, nu", [
-        ("clt_mixed", 1), ("clt_statistical", 2), ("eigvec_B", 4),
-        ("eigvec_C1", 1), ("consistency", 4),
+        ("clt_mixed", 1), ("clt_statistical", 2), ("clt_oracle", 3), ("eigvec_A", 2),
+        ("eigvec_B", 4), ("eigvec_C1", 1), ("eigvec_C2", 3), ("consistency", 4),
     ])
     def test_statistic_matches_dense_path(self, desk_spec, dense_reference, statistic, nu):
         cfg = ExperimentConfig(
             spec=desk_spec, nu=nu, replicates=KERNEL_SEEDS, master_seed=KERNEL_MASTER_SEED,
             statistic=statistic, x_mode="root", workers=2,
         )
-        rep = run_experiment(cfg)
-        assert rep.flagged == 0
+        if statistic == "consistency":
+            rep = consistency_report(cfg)
+            assert rep["flagged"] == 0
+            got = rep["max_ratio_error"][:, nu - 1]
+        else:
+            rep = run_experiment(cfg)
+            assert rep.flagged == 0
+            got = rep.samples
         x_shift = ctr.deterministic_shift(desk_spec.spikes, nu, desk_spec.n, "root")
         want = [dense_value(desk_spec, statistic, nu, eig, m_diag, x_shift)
                 for eig, m_diag in dense_reference]
-        np.testing.assert_allclose(rep.samples, want, rtol=KERNEL_RTOL, atol=0.0)
+        np.testing.assert_allclose(got, want, rtol=KERNEL_RTOL, atol=0.0)
 
     def test_instance_matches_dense_path(self, desk_spec, dense_reference):
         cfg = ExperimentConfig(
