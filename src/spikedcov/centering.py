@@ -288,11 +288,6 @@ def iterate_x_expansion(coeffs: PolynomialCoefficients, k0: int) -> float:
     return x
 
 
-def trace_centering(M_diag, l_hat_nu: float, n: int) -> float:
-    """(1/n) tr(M (l_hat I - M)^{-1}); requires l_hat above the bulk."""
-    return float(np.sum(shifted_resolvent_diag(M_diag, l_hat_nu)) / n)
-
-
 def statistical_centering(l_hat, nu: int, n: int) -> float:
     """(1/n) sum_{k != nu} l_hat_k / (l_hat_k - l_hat_nu), exactly as written."""
     lh = np.atleast_1d(np.asarray(l_hat, dtype=np.float64))
@@ -331,24 +326,24 @@ def deterministic_shift(spikes, nu: int, n: int, x_mode: str, coeffs=None) -> fl
     raise InvalidDims(f"unknown x_mode {x_mode!r}")
 
 
-def clt_centering(
-    mode: str, l_hat_nu: float, nu: int, n: int, bulk, x: float, l_hat=None
-) -> float:
+def clt_centering(mode: str, nu: int, n: int, bulk, x: float, l_hat=None) -> float:
     """The CLT centering: empirical, deterministic, or a sum of both.
 
     mode "mixed" is the trace term + x, "statistical" the trace term + the
     empirical spike sum (needs the top-M sample eigenvalues ``l_hat``; x is
-    unused), "oracle" the deterministic bulk term + x. ``bulk`` is the S_BB
-    spectrum for the two trace modes and the oracle term for "oracle".
+    unused), "oracle" the deterministic bulk term + x. For the two trace
+    modes ``bulk`` is tr(S_BB (l_hat_nu I - S_BB)^{-1}), the sum of
+    m / (l_hat_nu - m) over the S_BB spectrum, and the trace term is
+    bulk / n; for "oracle" it is the oracle term itself.
     """
     if mode == "oracle":
         return bulk + x
     if mode == "mixed":
-        return trace_centering(bulk, l_hat_nu, n) + x
+        return bulk / n + x
     if mode == "statistical":
         if l_hat is None:
             raise InvalidDims("statistical mode needs the top-M sample eigenvalues")
-        return trace_centering(bulk, l_hat_nu, n) + statistical_centering(l_hat, nu, n)
+        return bulk / n + statistical_centering(l_hat, nu, n)
     raise InvalidDims(f"unknown mode {mode!r}")
 
 
@@ -386,8 +381,11 @@ def clt_statistics(
     x = 0.0
     if mode != "statistical":
         x = deterministic_shift(ls, nu, n, resolve_x_mode(x_mode, n, M))
-    bulk = oracle_centering(l_nu, bd.N, M, n) if mode == "oracle" else bd.M_diag
-    centering = clt_centering(mode, al.l_hat, nu, n, bulk, x, l_hat)
+    if mode == "oracle":
+        bulk = oracle_centering(l_nu, bd.N, M, n)
+    else:
+        bulk = np.sum(shifted_resolvent_diag(bd.M_diag, al.l_hat))
+    centering = clt_centering(mode, nu, n, bulk, x, l_hat)
     return clt_statistic_value(al.l_hat, l_nu, centering, law, n)
 
 

@@ -286,7 +286,7 @@ def cmd_concentration(args) -> int:
     else:
         t_grid = np.linspace(args.t_min, args.t_max, args.t_count)
         rec = concentration_hw_check(
-            args.p, law, np.eye(args.p), t_grid, args.replicates, args.seed
+            args.p, law, None, t_grid, args.replicates, args.seed
         )
         out = {
             "t": rec["t"].tolist(),

@@ -54,9 +54,13 @@ def parse_law(text: str) -> EntryLaw:
 
 
 def load_config(path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # no interpolation: "%" is an ordinary character in every value
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     parser.optionxform = str  # n and N are distinct keys
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigInvalid(f"cannot parse config file {path}: {' '.join(str(exc).split())}") from None
     if not read:
         raise ConfigInvalid(f"cannot read config file {path}")
     if "model" not in parser:
@@ -82,7 +86,11 @@ def build_spec(parser: configparser.ConfigParser) -> SpikedModelSpec:
     if basis_text not in ("identity", ""):
         if basis_text.startswith("random_orthogonal"):
             _, _, s = basis_text.partition(":")
-            basis = random_orthogonal(N, int(s) if s else 0)
+            try:
+                seed = int(s) if s else 0
+            except ValueError:
+                raise ConfigInvalid(f"basis seed {s!r} is not an integer") from None
+            basis = random_orthogonal(N, seed)
         else:
             raise ConfigInvalid(f"unknown basis {basis_text!r}")
     return SpikedModelSpec(

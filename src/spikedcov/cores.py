@@ -5,6 +5,8 @@ on a pool of threads, each task on one OpenBLAS thread, so the pool owns
 the cores and a task's bits do not depend on the BLAS thread count. A
 fan-out started inside another fan-out, or inside ``one_blas_thread``, runs
 serially on the calling thread: the outer caller already owns the cores.
+``openblas_functions`` finds numpy's OpenBLAS symbols, for the governor
+and for the LAPACK routines that ``eigen`` calls directly.
 """
 
 from __future__ import annotations
@@ -34,13 +36,34 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
+# How numpy's OpenBLAS builds name a symbol: prefix + name + suffix, where
+# a Fortran name ends in "_" and the suffix "64_" marks 64-bit integers.
+_OPENBLAS_NAMINGS = (
+    ("scipy_", "64_", ctypes.c_int64),
+    ("", "64_", ctypes.c_int64),
+    ("", "", ctypes.c_int),
+)
+
+
+def openblas_functions(*names) -> tuple:
+    """``(integer type, [function, ...])`` for ``names`` in numpy's OpenBLAS.
+
+    Takes the first naming in ``_OPENBLAS_NAMINGS`` that exports every name.
+    Raises LookupError, with the reason, where none does.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError) as exc:
+        raise LookupError(f"cannot open numpy's LAPACK module: {exc}") from None
+    for prefix, suffix, integer in _OPENBLAS_NAMINGS:
+        symbols = [prefix + name + suffix for name in names]
+        if all(hasattr(lib, symbol) for symbol in symbols):
+            return integer, [getattr(lib, symbol) for symbol in symbols]
+    raise LookupError(f"numpy's BLAS exports no OpenBLAS {' / '.join(names)}")
+
+
 # The BLAS governor. The OpenBLAS setting is process-global: the first
 # entrant saves the count and sets 1, the last one out restores it.
-_BLAS_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
 #: Why the governor does nothing (numpy's BLAS is not OpenBLAS), else None.
 blas_unpinned_reason: str | None = None
 _blas_lock = threading.Lock()
@@ -53,17 +76,12 @@ def _blas_controls() -> tuple:
     """numpy's OpenBLAS (get, set) thread-count functions; () if none resolves."""
     global blas_unpinned_reason
     try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except (AttributeError, OSError) as exc:
-        blas_unpinned_reason = f"cannot open numpy's LAPACK module: {exc}"
+        _, (get, set_) = openblas_functions("openblas_get_num_threads", "openblas_set_num_threads")
+    except LookupError as exc:
+        blas_unpinned_reason = str(exc)
         return ()
-    for names in _BLAS_SYMBOLS:
-        if all(hasattr(lib, name) for name in names):
-            get, set_ = (getattr(lib, name) for name in names)
-            get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
-            return get, set_
-    blas_unpinned_reason = "numpy's BLAS exports no OpenBLAS thread-count symbol"
-    return ()
+    get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
+    return get, set_
 
 
 def blas_threads() -> int | None:

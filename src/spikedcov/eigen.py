@@ -10,17 +10,22 @@ collects the cross terms. The two master identities tying
 
 Dense eigen/SVD factorizations are delegated to LAPACK (Householder
 tridiagonalization paths) behind the contracts below. The replication
-harness needs only the top-M eigenpairs of a PSD Gram matrix and the
-spectrum of its bulk block: ``top_eigenpairs`` gets the former by certified
-subspace iteration, ``bulk_spectrum`` the latter from S_BB; see README.
+harness needs only the top-M eigenpairs of a PSD Gram matrix and, for the
+trace centering, one resolvent trace of its bulk block at one point:
+``top_eigenpairs`` gets the former by certified subspace iteration,
+``bulk_trace`` the latter from a Cholesky factor of l_hat I - S_BB, without
+the bulk spectrum; see README.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .cores import openblas_functions
 from .errors import (
     DegenerateAlignment,
     DegenerateSVD,
@@ -118,6 +123,14 @@ def sym_eigen(A: np.ndarray) -> EigenSystem:
     return EigenSystem(values=values[order].copy(), vectors=_fix_signs(vectors[:, order]))
 
 
+@functools.cache
+def _start_block(N: int, k: int) -> np.ndarray:
+    """The fixed-key Gaussian start block of ``top_eigenpairs``, drawn once per shape."""
+    block = Stream(0, "top-eigenpairs", N, k).normals((N, k))
+    block.flags.writeable = False
+    return block
+
+
 def top_eigenpairs(S: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Largest ``m`` eigenpairs (descending) of a PSD matrix, certified.
 
@@ -131,7 +144,7 @@ def top_eigenpairs(S: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """
     N = S.shape[0]
     k = min(m + max(m, 4), N)
-    Y = S @ Stream(0, "top-eigenpairs", N, k).normals((N, k))
+    Y = S @ _start_block(N, k)
     for _ in range(_SUBSPACE_SWEEPS):
         Q = np.linalg.qr(Y)[0]
         Y = S @ Q
@@ -150,15 +163,57 @@ def top_eigenvalues(S: np.ndarray, m: int) -> np.ndarray:
     return top_eigenpairs(S, m)[0]
 
 
-def bulk_spectrum(S: np.ndarray, M: int, n: int) -> np.ndarray:
-    """Eigenvalues of S_BB = S[M:, M:], descending; zero past rank n.
+@functools.cache
+def _lapack_cholesky_inverse() -> tuple | None:
+    """``(integer type, dpotrf, dtrtri)`` from numpy's OpenBLAS; None if absent."""
+    try:
+        integer, (potrf, trtri) = openblas_functions("dpotrf_", "dtrtri_")
+    except LookupError:
+        return None
+    ref = ctypes.POINTER(integer)
+    potrf.argtypes = [ctypes.c_char_p, ref, ctypes.c_void_p, ref, ref]
+    trtri.argtypes = [ctypes.c_char_p, ctypes.c_char_p, ref, ctypes.c_void_p, ref, ref]
+    potrf.restype = trtri.restype = None
+    return integer, potrf, trtri
 
-    Equals ``block_decompose(Z, spikes).M_diag`` for the Z behind S, whose
-    padding likewise sets the p - n trailing entries to 0 when p = N - M > n.
+
+def bulk_trace(S: np.ndarray, M: int, l_hat: float) -> float:
+    """Sum of m / (l_hat - m) over the eigenvalues m of S_BB = S[M:, M:].
+
+    Equals ``np.sum(shifted_resolvent_diag(block_decompose(Z, spikes).M_diag,
+    l_hat))`` for the Z behind S, without the bulk spectrum: with
+    A = l_hat I - S_BB = L L^T, the sum is l_hat tr(A^{-1}) - p =
+    l_hat ||L^{-1}||_F^2 - p. A is built from the upper triangle of S_BB
+    alone, which in C order is the lower triangle that LAPACK's ``dpotrf``
+    and ``dtrtri`` read and overwrite, so the other triangle stays zero and
+    ||L^{-1}||_F^2 is a sum over all of A. Where numpy's OpenBLAS exports
+    no such routines, ``np.linalg.cholesky`` and ``inv`` give the factor.
+
+    Raises
+    ------
+    NotInvertible
+        If A is not positive definite: l_hat is not above the top of S_BB.
     """
-    values = np.linalg.eigvalsh(S[M:, M:])[::-1].copy()
-    values[n:] = 0.0
-    return values
+    A = np.ascontiguousarray(np.triu(np.asarray(S, dtype=np.float64)[M:, M:]))
+    np.negative(A, out=A)
+    p = A.shape[0]
+    A.flat[:: p + 1] += l_hat
+    lapack = _lapack_cholesky_inverse()
+    failed = f"l_hat = {l_hat:g} is not above the top eigenvalue of S_BB"
+    if lapack is None:
+        try:
+            A = np.linalg.inv(np.linalg.cholesky(A.T))
+        except np.linalg.LinAlgError:
+            raise NotInvertible(failed) from None
+    else:
+        integer, potrf, trtri = lapack
+        order, info = integer(p), integer(0)
+        potrf(b"L", ctypes.byref(order), A.ctypes.data, ctypes.byref(order), ctypes.byref(info))
+        if info.value == 0:
+            trtri(b"L", b"N", ctypes.byref(order), A.ctypes.data, ctypes.byref(order), ctypes.byref(info))
+        if info.value != 0:
+            raise NotInvertible(f"{failed} (LAPACK info {info.value})")
+    return float(l_hat * np.einsum("ij,ij->", A, A) - p)
 
 
 def sample_covariance(X: np.ndarray) -> np.ndarray:

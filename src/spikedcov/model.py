@@ -94,6 +94,8 @@ def parse_spike_rule(rule, n: int) -> float:
     c = float(m.group(1))
     if m.group(0).find("n") < 0:
         return c
+    if n < 1:
+        raise InvalidSpec(f"spike rule {rule!r} needs n >= 1, got n = {n}")
     a = float(m.group(2)) if m.group(2) is not None else 1.0
     return c * float(n) ** a
 
@@ -138,8 +140,10 @@ class SpikedModelSpec:
             raise InvalidSpec(f"need 0 < M < N and M < n, got (n,N,M)=({self.n},{self.N},{self.M})")
         if np.any(np.diff(self.spikes) > 0):
             raise InvalidSpec("spikes must be sorted descending")
-        if np.any(self.spikes < 1.0):
-            raise InvalidSpec("every spike must be >= 1")
+        if np.any(self.spikes < 1.0) or not np.all(np.isfinite(self.spikes)):
+            raise InvalidSpec("every spike must be finite and >= 1")
+        if not self.gamma_bound >= 1.0:
+            raise InvalidSpec(f"gamma_bound = {self.gamma_bound:g} must be >= 1")
         ratio = self.N / self.n
         if not (1.0 / self.gamma_bound <= ratio <= self.gamma_bound):
             raise InvalidSpec(

@@ -22,7 +22,7 @@ from .cores import default_workers, fan_out, free_workers, one_blas_thread
 from .eigen import (
     EigenSystem,
     alignment,
-    bulk_spectrum,
+    bulk_trace,
     sample_covariance,
     top_eigenpairs,
     top_eigenvalues,
@@ -167,31 +167,32 @@ def _moments(values: np.ndarray) -> tuple[float, float, float, float]:
 class _Instance:
     l_hat: np.ndarray
     vectors: np.ndarray | None
-    M_diag: np.ndarray | None
+    bulk_trace: float | None
 
 
 def simulate_instance(
     spec: SpikedModelSpec,
     seed: int,
     need_vectors: bool,
-    need_bulk: bool,
+    trace_nu: int | None = None,
 ) -> _Instance:
     """Top-M eigenstructure of one replicate, in the identity frame.
 
-    One Gram product S feeds both the certified top-M solver and, when the
-    trace centering needs it, the bulk spectrum taken from its S_BB block.
-    It runs on one BLAS thread, so its bits depend on (spec, seed) alone.
+    One Gram product S feeds the certified top-M solver and, when the
+    trace centering needs it (``trace_nu`` given), the bulk trace of its
+    S_BB block at l_hat_{trace_nu}. It runs on one BLAS thread, so its bits
+    depend on (spec, seed) alone.
     """
     with one_blas_thread():
         z = sample_entry_matrix(spec.N, spec.n, spec.law, seed)
         z[: spec.M, :] *= spec.sqrt_lambda()[:, np.newaxis]
         S = sample_covariance(z)
-        m_diag = bulk_spectrum(S, spec.M, spec.n) if need_bulk else None
         if need_vectors:
             l_hat, vectors = top_eigenpairs(S, spec.M)
         else:
             l_hat, vectors = top_eigenvalues(S, spec.M), None
-    return _Instance(l_hat=l_hat, vectors=vectors, M_diag=m_diag)
+        trace = bulk_trace(S, spec.M, float(l_hat[trace_nu - 1])) if trace_nu else None
+    return _Instance(l_hat=l_hat, vectors=vectors, bulk_trace=trace)
 
 
 def _replicate_value(config: ExperimentConfig, r: int, x_shift: float):
@@ -199,13 +200,13 @@ def _replicate_value(config: ExperimentConfig, r: int, x_shift: float):
     spec, stat, nu = config.spec, config.statistic, config.nu
     seed = config.replicate_seed(r)
     try:
-        need_bulk = stat in ("clt_mixed", "clt_statistical")
-        inst = simulate_instance(spec, seed, stat in EIGVEC_STATISTICS, need_bulk)
+        trace_nu = nu if stat in ("clt_mixed", "clt_statistical") else None
+        inst = simulate_instance(spec, seed, stat in EIGVEC_STATISTICS, trace_nu)
         if stat in CLT_STATISTICS:
             l_hat_nu = float(inst.l_hat[nu - 1])
             l_nu = float(spec.spikes[nu - 1])
-            bulk = inst.M_diag if need_bulk else ctr.oracle_centering(l_nu, spec.N, spec.M, spec.n)
-            c = ctr.clt_centering(stat[4:], l_hat_nu, nu, spec.n, bulk, x_shift, inst.l_hat)
+            bulk = inst.bulk_trace if trace_nu else ctr.oracle_centering(l_nu, spec.N, spec.M, spec.n)
+            c = ctr.clt_centering(stat[4:], nu, spec.n, bulk, x_shift, inst.l_hat)
             return ctr.clt_statistic_value(l_hat_nu, l_nu, c, spec.law, spec.n), None, seed
         al = alignment(EigenSystem(inst.l_hat, inst.vectors), None, spec.spikes, nu)
         source = inst.l_hat if config.empirical else spec.spikes
@@ -297,7 +298,7 @@ def consistency_report(config: ExperimentConfig) -> dict:
     def one(r: int):
         seed = config.replicate_seed(r)
         try:
-            inst = simulate_instance(spec, seed, need_vectors=True, need_bulk=False)
+            inst = simulate_instance(spec, seed, need_vectors=True)
         except REPLICATE_FAULTS as exc:
             return np.full(spec.M, math.nan), np.full(spec.M, math.nan), seed, type(exc).__name__
         rel = np.abs(inst.l_hat / spec.spikes - 1.0)
@@ -374,7 +375,7 @@ def concentration_sm_check(
 def concentration_hw_check(
     p: int,
     law,
-    matrixC: np.ndarray,
+    matrixC: np.ndarray | None,
     t_grid,
     reps: int,
     seed: int,
@@ -384,18 +385,22 @@ def concentration_hw_check(
     For each t the report carries P(|y^T C y - tr C| >= t) and
     P(|y^T C y'| >= t) next to the bound shape
     min(t^2 / (p ||C||^2), t / ||C||); the fitted constant is the largest c
-    with empirical tail <= 2 exp(-c shape(t)) across the grid.
+    with empirical tail <= 2 exp(-c shape(t)) across the grid. ``matrixC``
+    None is the p x p identity, and y C = y is not formed.
     """
-    C = np.asarray(matrixC, dtype=np.float64)
-    if C.shape != (p, p):
-        raise InvalidDims(f"matrixC must be {p}x{p}, got {C.shape}")
+    if matrixC is None:
+        opnorm, trace = 1.0, float(p)
+    else:
+        C = np.asarray(matrixC, dtype=np.float64)
+        if C.shape != (p, p):
+            raise InvalidDims(f"matrixC must be {p}x{p}, got {C.shape}")
+        opnorm = float(np.linalg.norm(C, 2)) if np.any(C) else 0.0
+        trace = float(np.trace(C))
     t_grid = np.asarray(t_grid, dtype=np.float64)
-    opnorm = float(np.linalg.norm(C, 2)) if np.any(C) else 0.0
-    trace = float(np.trace(C))
     stream = Stream(seed, "concentration-hw", p, law.label())
     y = law.sample(stream, (reps, p))
     y2 = law.sample(stream, (reps, p))
-    yC = y @ C
+    yC = y if matrixC is None else y @ C
     quad = np.einsum("ij,ij->i", yC, y)
     cross = np.einsum("ij,ij->i", yC, y2)
     tail_hw = np.array([np.mean(np.abs(quad - trace) >= t) for t in t_grid])

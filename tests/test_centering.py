@@ -16,10 +16,16 @@ from spikedcov.centering import (
     series_expansion_check,
     solve_x,
     statistical_centering,
-    trace_centering,
     truncation_order,
 )
-from spikedcov.eigen import alignment, block_decompose, sample_covariance, sym_eigen
+from spikedcov.eigen import (
+    alignment,
+    block_decompose,
+    bulk_trace,
+    sample_covariance,
+    shifted_resolvent_diag,
+    sym_eigen,
+)
 from spikedcov.errors import (
     InvalidDims,
     NotInvertible,
@@ -27,7 +33,7 @@ from spikedcov.errors import (
     SpikeAtOne,
     TiedEigenvalues,
 )
-from spikedcov.model import SpikedModelSpec, generate_data
+from spikedcov.model import EntryLaw, SpikedModelSpec, generate_data
 
 
 class TestTruncationOrder:
@@ -152,16 +158,28 @@ class TestIterateExpansion:
         assert errs[2] <= 10.0 * (20 / n) ** 4
 
 
+def trace_term(M_diag, l_hat_nu, n):
+    """(1/n) tr(M (l_hat I - M)^{-1}) from the spectrum, as the dense path forms it."""
+    return np.sum(shifted_resolvent_diag(M_diag, l_hat_nu)) / n
+
+
 class TestElementaryCenterings:
+    """The trace term from the spectrum and from the kernel's S (spike block first)."""
+
     def test_trace_exact_fraction(self):
-        assert trace_centering([1.0, 2.0], 5.0, 10) == pytest.approx(11.0 / 120.0, rel=1e-15)
+        assert trace_term([1.0, 2.0], 5.0, 10) == pytest.approx(11.0 / 120.0, rel=1e-15)
+        S = np.diag([9.0, 1.0, 2.0])
+        assert bulk_trace(S, 1, 5.0) / 10 == pytest.approx(11.0 / 120.0, rel=1e-15)
 
     def test_trace_zero_bulk(self):
-        assert trace_centering(np.zeros(6), 3.0, 10) == 0.0
+        assert trace_term(np.zeros(6), 3.0, 10) == 0.0
+        assert bulk_trace(np.diag([9.0] + [0.0] * 6), 1, 4.0) == 0.0
 
     def test_trace_not_invertible(self):
         with pytest.raises(NotInvertible):
-            trace_centering([2.0], 2.0, 10)
+            trace_term([2.0], 2.0, 10)
+        with pytest.raises(NotInvertible):
+            bulk_trace(np.diag([9.0, 2.0]), 1, 2.0)
 
     def test_statistical_two_spikes(self):
         assert statistical_centering([10.0, 2.0], 1, 100) == pytest.approx(-0.0025, rel=1e-15)
@@ -225,7 +243,7 @@ class TestCltStatistics:
         bd = block_decompose(Z, spec.spikes)
         eig = sym_eigen(sample_covariance(X))
         al = alignment(eig, None, spec.spikes, 1)
-        c_tr = trace_centering(bd.M_diag, al.l_hat, n)
+        c_tr = trace_term(bd.M_diag, al.l_hat, n)
         l_star = al.l_hat / (1.0 + c_tr)
         got = clt_statistics(bd, al, [l_star], gaussian, "mixed", x_mode="zero")
         assert abs(got) <= 1e-10
@@ -252,7 +270,7 @@ class TestCltStatistics:
         oracle = clt_statistics(bd, al, spec.spikes, gaussian, "oracle", x_mode="root")
         scale = math.sqrt(spec.n / 2.0)
         gap = (mixed - oracle) / scale
-        c_tr = trace_centering(bd.M_diag, al.l_hat, spec.n)
+        c_tr = trace_term(bd.M_diag, al.l_hat, spec.n)
         orc = oracle_centering(spec.spikes[0], spec.N, spec.M, spec.n)
         assert gap == pytest.approx(orc - c_tr, rel=1e-10)
 
@@ -264,23 +282,34 @@ class TestCltCentering:
 
     def test_each_mode_is_its_two_terms(self):
         l_hat = np.array([50.0, 20.0, 8.0])
-        tr = trace_centering(self.BULK, 20.0, 100)
-        assert clt_centering("mixed", 20.0, 2, 100, self.BULK, 0.01) == tr + 0.01
-        assert clt_centering("statistical", 20.0, 2, 100, self.BULK, 0.01, l_hat) == (
+        trace = np.sum(shifted_resolvent_diag(self.BULK, 20.0))
+        tr = trace_term(self.BULK, 20.0, 100)
+        assert clt_centering("mixed", 2, 100, trace, 0.01) == tr + 0.01
+        assert clt_centering("statistical", 2, 100, trace, 0.01, l_hat) == (
             tr + statistical_centering(l_hat, 2, 100)
         )
-        assert clt_centering("oracle", 20.0, 2, 100, 0.25, 0.01) == 0.25 + 0.01
+        assert clt_centering("oracle", 2, 100, 0.25, 0.01) == 0.25 + 0.01
 
     def test_statistical_needs_lhat_and_unknown_mode(self):
         with pytest.raises(InvalidDims):
-            clt_centering("statistical", 20.0, 2, 100, self.BULK, 0.0)
+            clt_centering("statistical", 2, 100, 0.1, 0.0)
         with pytest.raises(InvalidDims):
-            clt_centering("hybrid", 20.0, 2, 100, self.BULK, 0.0)
+            clt_centering("hybrid", 2, 100, 0.1, 0.0)
 
     def test_trace_modes_need_lhat_above_bulk(self):
+        # both sources of the trace modes' bulk sum flag l_hat_nu = 2 = max bulk
+        with pytest.raises(NotInvertible):
+            shifted_resolvent_diag(self.BULK, 2.0)
+        with pytest.raises(NotInvertible):
+            bulk_trace(np.diag([9.0, *self.BULK]), 1, 2.0)
+        bd_spec = SpikedModelSpec(n=60, N=40, M=1, spikes=[20.0], law=EntryLaw.gaussian())
+        X, Z = generate_data(bd_spec, 5)
+        bd = block_decompose(Z, bd_spec.spikes)
+        al = alignment(sym_eigen(sample_covariance(X)), None, bd_spec.spikes, 1)
+        al.l_hat = float(np.max(bd.M_diag))
         for mode in ("mixed", "statistical"):
             with pytest.raises(NotInvertible):
-                clt_centering(mode, 2.0, 1, 100, self.BULK, 0.0, np.array([2.0, 1.0]))
+                clt_statistics(bd, al, bd_spec.spikes, bd_spec.law, mode, l_hat=[al.l_hat])
 
 
 class TestSeriesExpansion:

@@ -355,6 +355,29 @@ class TestExitCodeContract:
         assert len(proc.stderr.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("data", [
+        pytest.param(b"n = 10\n" + MINIMAL.encode(), id="key-before-section"),
+        pytest.param(MINIMAL.replace("M = 1", "M = 1\nM = 2").encode(), id="duplicate-key"),
+        pytest.param(MINIMAL.encode() + b"; caf\xe9\n", id="not-utf8"),
+        pytest.param(MINIMAL.replace("n = 10", "n = %").encode(), id="percent"),
+        pytest.param(MINIMAL.replace("spikes = 4", "spikes = 4*n^0.5").replace("n = 10", "n = -1").encode(),
+                     id="spike-rule-at-negative-n"),
+        pytest.param(MINIMAL.replace("spikes = 4", "spikes = 1e400").encode(), id="spike-inf"),
+        pytest.param(MINIMAL.replace("law", "gamma_bound = 0\nlaw").encode(), id="gamma-bound-0"),
+        pytest.param(MINIMAL.replace("law", "basis = random_orthogonal:x\nlaw").encode(),
+                     id="basis-seed"),
+    ])
+    def test_malformed_config_file_is_config_error(self, tmp_path, data):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_bytes(data)
+        out = tmp_path / "o"
+        proc = run_cli(["clt", "--config", str(cfg), "--out", str(out), "--replicates", "2"], {})
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(("config error:", "error:"))
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["generate", "eigs"])
     def test_single_job_commands_take_no_threads_flag(self, tmp_path, desk_config, command):
         out = tmp_path / "o"
@@ -465,6 +488,38 @@ def concentration_or_mp_argv(draw):
     return argv + [f"--t-min={draw(REALS)}", f"--t-max={draw(REALS)}", f"--t-count={draw(COUNTS)}"]
 
 
+FUZZ_BASE = [
+    "[model]", "n = 12", "N = 8", "M = 2", "spikes = 8*n^0.8, 2*n^0.8", "law = gaussian",
+    "basis = identity", "gamma_bound = 10",
+    "[experiment]", "statistic = clt_mixed", "nu = 1", "replicates = 2", "master_seed = 5",
+    "x_mode = root", "empirical = false", "eps0 = 0.1",
+]
+FUZZ_VALUES = ["0", "1", "2", "3", "12", "-1", "1.5", "nan", "inf", "1e400", "x", "", "4, 2",
+               "2*n", "n^", "uniform", "twopoint:0.3", "twopoint:x", "random_orthogonal:3",
+               "random_orthogonal:x", "clt_statistical", "clt_oracle", "eigvec_A", "iter:2",
+               "zero", "true", "%", "%(n)s"]
+
+
+@st.composite
+def ini_text(draw):
+    """A small valid INI file after a few edits: odd values, lost/repeated lines, junk."""
+    lines = list(FUZZ_BASE)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["value", "value", "value", "drop", "repeat", "junk"]))
+        if edit == "value" and "=" in lines[i]:
+            lines[i] = lines[i].split("=")[0] + "= " + draw(st.sampled_from(FUZZ_VALUES))
+        elif edit == "drop":
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif edit == "junk":
+            lines.insert(i, draw(st.text(max_size=12)))
+        if not lines:
+            break
+    return "\n".join(lines).encode("utf-8", "surrogatepass")
+
+
 class TestCliFuzz:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(argv=concentration_or_mp_argv())
@@ -473,6 +528,19 @@ class TestCliFuzz:
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
             out = os.path.join(tmp, "o.csv" if argv[0] == "mp" else "o")
             rc = main([*argv, f"--out={out}"])
+        assert rc in (0, 2, 3, 4, 5)
+        assert "Traceback" not in err.getvalue()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.one_of(ini_text(), st.binary(max_size=200)))
+    def test_config_file_exit_code_contract(self, data):
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+            path = os.path.join(tmp, "fuzz.ini")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            rc = main(["clt", "--config", path, "--out", os.path.join(tmp, "o"),
+                       "--replicates", "2", "--threads", "1"])
         assert rc in (0, 2, 3, 4, 5)
         assert "Traceback" not in err.getvalue()
 

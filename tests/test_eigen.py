@@ -7,15 +7,16 @@ from spikedcov import eigen as eigen_module
 from spikedcov.eigen import (
     alignment,
     block_decompose,
-    bulk_spectrum,
+    bulk_trace,
     sample_covariance,
+    shifted_resolvent_diag,
     sym_eigen,
     top_eigenpairs,
     top_eigenvalues,
     verify_master_identities,
 )
 from spikedcov.errors import DegenerateAlignment, NotInvertible, NotSymmetric
-from spikedcov.model import generate_data, random_orthogonal
+from spikedcov.model import EntryLaw, SpikedModelSpec, generate_data, random_orthogonal
 from spikedcov.rng import Stream
 
 
@@ -119,21 +120,94 @@ class TestTopEigenpairs:
         assert np.all(vecs[idx, np.arange(3)] > 0)
 
 
+# bulk_trace against the sum over block_decompose's spectrum: relative
+# 1e-12 times the condition number l_hat / (l_hat - max M_diag) of
+# l_hat I - S_BB. The worst measured ratio over 2000 sweep cases is 1.5e-13.
+BULK_TRACE_RTOL = 1e-12
+BULK_TRACE_LAWS = {
+    "gaussian": EntryLaw.gaussian(),
+    "uniform": EntryLaw.uniform_scaled(),
+    "twopoint:0.05": EntryLaw.two_point(0.05),
+}
+
+
+def without_lapack(monkeypatch):
+    """Make bulk_trace take its numpy fallback, as on a numpy without OpenBLAS."""
+    monkeypatch.setattr(eigen_module, "_lapack_cholesky_inverse", lambda: None)
+
+
 class TestBulkSpectrum:
+    """The kernel's bulk trace: the sum of m / (l_hat - m) over the S_BB spectrum."""
+
     @pytest.mark.parametrize("N, n", [(300, 400), (12, 5)])
     def test_matches_block_decompose(self, N, n):
-        # p = N - M <= n, and p > n where the trailing p - n entries are 0
+        # p = N - M <= n, and p > n where the trailing p - n entries of M_diag are 0
         spikes = [40.0, 20.0]
         Z = Stream(8, "bulk", N, n).normals((N, n))
         X = Z.copy()
         X[:2] *= np.sqrt(spikes)[:, None]
-        got = bulk_spectrum(sample_covariance(X), 2, n)
-        want = block_decompose(Z, spikes).M_diag
-        assert got.shape == want.shape
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * want[0])
-        assert np.all(np.diff(got) <= 0)
-        if N - 2 > n:
-            assert np.all(got[n:] == 0.0)
+        S = sample_covariance(X)
+        m_diag = block_decompose(Z, spikes).M_diag
+        for l_hat in (*top_eigenvalues(S, 2), 1.01 * m_diag[0], 1e3):
+            want = np.sum(shifted_resolvent_diag(m_diag, l_hat))
+            assert bulk_trace(S, 2, l_hat) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("lapack", [True, False], ids=["lapack", "numpy"])
+    def test_l_hat_at_or_below_the_bulk_is_not_invertible(self, monkeypatch, lapack):
+        if not lapack:
+            without_lapack(monkeypatch)
+        S = np.diag([50.0, 3.0, 1.0, 2.0])
+        with pytest.raises(NotInvertible):
+            bulk_trace(S, 1, 3.0)  # a tie: l_hat I - S_BB is singular
+        with pytest.raises(NotInvertible):
+            bulk_trace(S, 1, 2.5)
+        Z = Stream(9, "bulk", 40, 30).normals((40, 30))
+        S = sample_covariance(Z)
+        top = block_decompose(Z, [1.0]).M_diag[0]
+        for l_hat in (top * (1.0 - 1e-9), 0.5 * top, 0.0, -1.0):
+            with pytest.raises(NotInvertible):
+                bulk_trace(S, 1, l_hat)
+        assert bulk_trace(S, 1, top * (1.0 + 1e-9)) > 0.0
+
+    def test_numpy_fallback_agrees_with_lapack(self, monkeypatch):
+        Z = Stream(10, "bulk", 200, 150).normals((200, 150))
+        Z[:3] *= np.sqrt([60.0, 30.0, 15.0])[:, None]
+        S = sample_covariance(Z)
+        l_hats = top_eigenvalues(S, 3)
+        fast = [bulk_trace(S, 3, l_hat) for l_hat in l_hats]
+        without_lapack(monkeypatch)
+        slow = [bulk_trace(S, 3, l_hat) for l_hat in l_hats]
+        np.testing.assert_allclose(slow, fast, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        N=st.integers(min_value=8, max_value=120),
+        n_over_N=st.floats(min_value=0.25, max_value=4.0),
+        m_share=st.floats(min_value=0.0, max_value=1.0),
+        law=st.sampled_from(sorted(BULK_TRACE_LAWS)),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_property_matches_block_decompose_at_every_nu(self, N, n_over_N, m_share, law, seed):
+        # p <= n and p > n, M from 1 to N / 4, spikes c * n^0.9 as in the README
+        n = max(6, round(n_over_N * N))
+        M = min(1 + int(m_share * (N // 4 - 1)), n - 1)
+        spikes = [f"{(M - k) / M:g}*n^0.9" for k in range(M)]
+        spec = SpikedModelSpec(n=n, N=N, M=M, spikes=spikes, law=BULK_TRACE_LAWS[law])
+        X, Z = generate_data(spec, seed)
+        S = sample_covariance(X)
+        m_diag = block_decompose(Z, spec.spikes).M_diag
+        top = np.max(m_diag)
+        for l_hat in sym_eigen(S).values[:M]:
+            if l_hat > top * (1.0 + 1e-6):
+                want = np.sum(shifted_resolvent_diag(m_diag, l_hat))
+                kappa = l_hat / (l_hat - top)
+                assert bulk_trace(S, M, l_hat) == pytest.approx(want, rel=BULK_TRACE_RTOL * kappa)
+            elif l_hat < top * (1.0 - 1e-6):
+                # the spike fell into the bulk: both paths flag it
+                with pytest.raises(NotInvertible):
+                    shifted_resolvent_diag(m_diag, l_hat)
+                with pytest.raises(NotInvertible):
+                    bulk_trace(S, M, l_hat)
 
 
 class TestSampleCovariance:
