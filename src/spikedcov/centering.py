@@ -190,13 +190,6 @@ def polynomial_coefficients(spikes, nu: int, n: int, s: int | None = None) -> Po
     M = len(ls)
     if s is None:
         s = truncation_order(n, M)
-    if M == 1:
-        deg = 2 * s
-        zeros = np.zeros(deg + 1)
-        return PolynomialCoefficients(
-            s=s, a=zeros, b=zeros.copy(), c=zeros.copy(),
-            O_bar=0.0, O_j=np.zeros(2 * s * s + 2 * s), M=M, n=n,
-        )
     poly = matrix_polynomial_Mnu(ls, nu, n, s)
     a, b, c = abc_coefficients(poly, ls, nu, n)
     O_bar, O_j = compose_O(a, b, c, s)

@@ -49,8 +49,25 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
+def _replace(path, write, *args) -> None:
+    """``write(path + ".tmp", *args)``, then rename: ``path`` is whole or untouched."""
+    tmp = path + ".tmp"
+    write(tmp, *args)
+    os.replace(tmp, path)
+
+
 class Manifest:
+    """The one writer of an output directory: each file whole, the manifest last.
+
+    A run that dies midway leaves no manifest, never one that lists a file
+    it had not finished.
+    """
+
     def __init__(self, config_path, out_dir, master_seed):
+        os.makedirs(out_dir, exist_ok=True)
+        self.path = os.path.join(out_dir, "manifest.json")
+        if os.path.lexists(self.path):
+            os.remove(self.path)
         self.record = {
             "tool": "spikedcov",
             "version": __version__,
@@ -62,19 +79,38 @@ class Manifest:
         }
         self.out_dir = out_dir
 
+    def save(self, name, write, *args) -> None:
+        path = os.path.join(self.out_dir, name)
+        _replace(path, write, *args)
+        self.add(path)
+
     def add(self, path) -> None:
         rel = os.path.relpath(path, self.out_dir)
         self.record["files"][rel] = _sha256(path)
 
     def write(self) -> None:
         self.record["finished"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        _write_json(os.path.join(self.out_dir, "manifest.json"), self.record)
+        _replace(self.path, _write_json, self.record)
+
+
+def _null_nan(value):
+    """``value`` with every NaN as None: a statistic with no value is JSON ``null``."""
+    if isinstance(value, dict):
+        return {k: _null_nan(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_nan(v) for v in value]
+    return None if isinstance(value, float) and math.isnan(value) else value
+
+
+def _write_lines(path, lines) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in lines:
+            fh.write(line)
+            fh.write("\n")
 
 
 def _write_json(path, record) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_lines(path, [json.dumps(_null_nan(record), indent=2, sort_keys=True)])
 
 
 def _require_positive(**values) -> None:
@@ -82,6 +118,25 @@ def _require_positive(**values) -> None:
     for name, value in values.items():
         if not (math.isfinite(value) and value > 0):
             raise ConfigInvalid(f"--{name.replace('_', '-')} must be finite and > 0, got {value}")
+
+
+def _file_int(parser, key) -> int:
+    """``[experiment] key`` of a config file as an integer; 0 when absent or empty."""
+    sec = parser["experiment"] if "experiment" in parser else {}
+    if not sec.get(key):
+        return 0
+    try:
+        return int(sec[key])
+    except ValueError:
+        raise ConfigInvalid(f"[experiment] {key} = {sec[key]!r} is not an integer") from None
+
+
+def _instance(args):
+    """Config file, model spec and seed (flag > file > 0) of a one-instance command."""
+    parser = load_config(args.config)
+    spec = build_spec(parser)
+    seed = args.seed if args.seed is not None else _file_int(parser, "master_seed")
+    return parser, spec, seed
 
 
 def _experiment(args, command: str, **overrides):
@@ -105,59 +160,33 @@ def _experiment(args, command: str, **overrides):
 def _run_experiment_job(args, config) -> int:
     """Run a clt/eigvec experiment; write its report, samples and manifest."""
     report = run_experiment(config)
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = Manifest(args.config, out_dir, config.master_seed)
-    _write_json(os.path.join(out_dir, "report.json"), report.aggregate_record(config))
-    manifest.add(os.path.join(out_dir, "report.json"))
-    jsonl = os.path.join(out_dir, "samples.jsonl")
-    with open(jsonl, "w", encoding="utf-8") as fh:
-        for row in report.rows:
-            fh.write(json.dumps(row, sort_keys=True))
-            fh.write("\n")
-    manifest.add(jsonl)
-    csv_path = os.path.join(out_dir, "samples.csv")
-    with open(csv_path, "w", encoding="ascii") as fh:
-        fh.write("value\n")
-        for v in report.samples:
-            fh.write("%.17g\n" % v)
-    manifest.add(csv_path)
+    manifest = Manifest(args.config, args.out, config.master_seed)
+    manifest.save("report.json", _write_json, report.aggregate_record(config))
+    rows = [json.dumps(_null_nan(row), sort_keys=True) for row in report.rows]
+    manifest.save("samples.jsonl", _write_lines, rows)
+    manifest.save("samples.csv", _write_lines, ["value", *("%.17g" % v for v in report.samples)])
     manifest.write()
     return EXIT_OK
 
 
 def cmd_generate(args) -> int:
-    parser = load_config(args.config)
-    spec = build_spec(parser)
-    seed = args.seed if args.seed is not None else _seed_from(parser)
+    _, spec, seed = _instance(args)
     X, Z = generate_data(spec, seed)
-    os.makedirs(args.out, exist_ok=True)
     manifest = Manifest(args.config, args.out, seed)
     for name, mat in (("X", X),) + ((("Z", Z),) if args.with_z else ()):
-        csv_path = os.path.join(args.out, f"{name}.csv")
-        bin_path = os.path.join(args.out, f"{name}.bin")
-        matio.write_csv(csv_path, mat)
-        matio.write_binary(bin_path, mat)
-        manifest.add(csv_path)
-        manifest.add(bin_path)
+        manifest.save(f"{name}.csv", matio.write_csv, mat)
+        manifest.save(f"{name}.bin", matio.write_binary, mat)
     manifest.write()
     return EXIT_OK
 
 
 def cmd_eigs(args) -> int:
-    parser = load_config(args.config)
-    spec = build_spec(parser)
-    seed = args.seed if args.seed is not None else _seed_from(parser)
+    _, spec, seed = _instance(args)
     X, _ = generate_data(spec, seed)
     eig = sym_eigen(sample_covariance(X))
-    os.makedirs(args.out, exist_ok=True)
     manifest = Manifest(args.config, args.out, seed)
-    values_path = os.path.join(args.out, "eigenvalues.csv")
-    matio.write_csv(values_path, eig.values[np.newaxis, :])
-    vectors_path = os.path.join(args.out, "eigenvectors.bin")
-    matio.write_binary(vectors_path, eig.vectors)
-    manifest.add(values_path)
-    manifest.add(vectors_path)
+    manifest.save("eigenvalues.csv", matio.write_csv, eig.values[np.newaxis, :])
+    manifest.save("eigenvectors.bin", matio.write_binary, eig.vectors)
     manifest.write()
     return EXIT_OK
 
@@ -185,25 +214,22 @@ def cmd_mp_table(args) -> int:
         raise ConfigInvalid(
             f"bad --z-grid {args.z_grid!r}: want finite start and stop and a count >= 1"
         )
-    grid = np.linspace(start, stop, count)
+    lines = ["z,m,quadratic_residual,error"]
+    for z in np.linspace(start, stop, count):
+        try:
+            m = mp.mp_stieltjes(z, args.gamma)
+            res = mp.mp_quadratic_residual(z, args.gamma)
+            lines.append("%.17g,%.17g,%.17g," % (z, m, res))
+        except NumericPrecondition as exc:
+            lines.append("%.17g,,,%s" % (z, type(exc).__name__))
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write("z,m,quadratic_residual,error\n")
-        for z in grid:
-            try:
-                m = mp.mp_stieltjes(z, args.gamma)
-                res = mp.mp_quadratic_residual(z, args.gamma)
-                fh.write("%.17g,%.17g,%.17g,\n" % (z, m, res))
-            except NumericPrecondition as exc:
-                fh.write("%.17g,,,%s\n" % (z, type(exc).__name__))
+    _replace(args.out, _write_lines, lines)
     return EXIT_OK
 
 
 def cmd_check_identities(args) -> int:
-    parser = load_config(args.config)
-    spec = build_spec(parser)
-    seed = args.seed if args.seed is not None else _seed_from(parser)
-    nu = args.nu if args.nu is not None else _nu_from(parser)
+    parser, spec, seed = _instance(args)
+    nu = args.nu if args.nu is not None else _file_int(parser, "nu")
     _, Z = generate_data(spec, seed)
     bd = block_decompose(Z, spec.spikes)
     # identity-frame covariance: the basis is rotated out so the A/B split is literal
@@ -217,30 +243,26 @@ def cmd_check_identities(args) -> int:
     if r3 > 1e-10 * tol_scale:
         failures.append(f"orthonormality residual {r3:.3e}")
     report = {"orthonormality": r3, "per_spike": [], "seed": seed}
-    try:
-        for v in range(1, spec.M + 1) if nu == 0 else [nu]:
-            al = alignment(eig, None, spec.spikes, v)
-            ident = verify_master_identities(bd, al)
-            series = centering.series_expansion_check(bd, al, spec.spikes, v, J=args.series_terms)
-            rec = {
-                "nu": v,
-                "r4": ident["r4"],
-                "r5": ident["r5"],
-                "series_entry": series.entry_residual,
-                "series_sigma3": series.sigma3_residual,
-            }
-            report["per_spike"].append(rec)
-            if ident["r4"] > 1e-6 * tol_scale * al.l_hat:
-                failures.append(f"nu={v}: r4 = {ident['r4']:.3e}")
-            if ident["r5"] > 1e-6 * tol_scale * (1.0 + ident["R2_over_1mR2"]):
-                failures.append(f"nu={v}: r5 = {ident['r5']:.3e}")
-            if series.entry_residual > 1e-6 * tol_scale:
-                failures.append(f"nu={v}: series entry residual {series.entry_residual:.3e}")
-            if series.sigma3_residual > 1e-6 * tol_scale:
-                failures.append(f"nu={v}: series sigma3 residual {series.sigma3_residual:.3e}")
-    except NumericPrecondition as exc:
-        print(f"numeric precondition failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    for v in range(1, spec.M + 1) if nu == 0 else [nu]:
+        al = alignment(eig, None, spec.spikes, v)
+        ident = verify_master_identities(bd, al)
+        series = centering.series_expansion_check(bd, al, spec.spikes, v, J=args.series_terms)
+        rec = {
+            "nu": v,
+            "r4": ident["r4"],
+            "r5": ident["r5"],
+            "series_entry": series.entry_residual,
+            "series_sigma3": series.sigma3_residual,
+        }
+        report["per_spike"].append(rec)
+        if ident["r4"] > 1e-6 * tol_scale * al.l_hat:
+            failures.append(f"nu={v}: r4 = {ident['r4']:.3e}")
+        if ident["r5"] > 1e-6 * tol_scale * (1.0 + ident["R2_over_1mR2"]):
+            failures.append(f"nu={v}: r5 = {ident['r5']:.3e}")
+        if series.entry_residual > 1e-6 * tol_scale:
+            failures.append(f"nu={v}: series entry residual {series.entry_residual:.3e}")
+        if series.sigma3_residual > 1e-6 * tol_scale:
+            failures.append(f"nu={v}: series sigma3 residual {series.sigma3_residual:.3e}")
     print(json.dumps(report, indent=2, sort_keys=True))
     if failures:
         for f in failures:
@@ -252,9 +274,8 @@ def cmd_check_identities(args) -> int:
 def cmd_consistency(args) -> int:
     config = _experiment(args, "consistency", statistic="consistency")
     rep = consistency_report(config)
-    os.makedirs(args.out, exist_ok=True)
     manifest = Manifest(args.config, args.out, config.master_seed)
-    out = {
+    manifest.save("consistency.json", _write_json, {
         "median_max_ratio_error": rep["median_max_ratio_error"].tolist(),
         "median_inner_sq": rep["median_inner_sq"].tolist(),
         "flags": rep["flags"],
@@ -262,10 +283,7 @@ def cmd_consistency(args) -> int:
         "flagged": rep["flagged"],
         "replicates": config.replicates,
         "master_seed": config.master_seed,
-    }
-    path = os.path.join(args.out, "consistency.json")
-    _write_json(path, out)
-    manifest.add(path)
+    })
     manifest.write()
     return EXIT_OK
 
@@ -277,8 +295,6 @@ def cmd_concentration(args) -> int:
     else:
         _require_positive(t_count=args.t_count)
     law = parse_law(args.law)
-    os.makedirs(args.out, exist_ok=True)
-    manifest = Manifest(None, args.out, args.seed)
     if args.kind == "sm":
         out = concentration_sm_check(
             args.p, args.q, law, args.t, args.replicates, args.seed, C=args.constant
@@ -297,23 +313,10 @@ def cmd_concentration(args) -> int:
             "c_ahw": rec["c_ahw"],
             "reps": rec["reps"],
         }
-    path = os.path.join(args.out, f"concentration_{args.kind}.json")
-    _write_json(path, out)
-    manifest.add(path)
+    manifest = Manifest(None, args.out, args.seed)
+    manifest.save(f"concentration_{args.kind}.json", _write_json, out)
     manifest.write()
     return EXIT_OK
-
-
-def _seed_from(parser) -> int:
-    if "experiment" in parser and parser["experiment"].get("master_seed"):
-        return parser["experiment"].getint("master_seed")
-    return 0
-
-
-def _nu_from(parser) -> int:
-    if "experiment" in parser and parser["experiment"].get("nu"):
-        return parser["experiment"].getint("nu")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,13 +1,16 @@
 import argparse
 import contextlib
+import hashlib
 import inspect
 import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spikedcov
-from spikedcov import cli, cores, matio
+from spikedcov import cli, cores, matio, montecarlo
 from spikedcov.cli import main
+from spikedcov.errors import NoConvergence
 
 CLT_ORACLE_DESK = Path(__file__).resolve().parent.parent / "configs" / "clt_oracle_desk.ini"
 
@@ -280,15 +284,81 @@ class TestReproducibility:
         assert digests[0] == digests[1]
 
 
-def run_cli(args, env_extra):
-    """`python -m spikedcov.cli ARGS` in a fresh interpreter."""
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestStrictJson:
+    """A statistic with no value is written as null, never as a bare NaN."""
+
+    NO_SUCCESS = """\
+[model]
+n = 200
+N = 100
+M = 2
+spikes = 1.2, 1.0
+law = gaussian
+
+[experiment]
+nu = 2
+"""
+
+    def test_report_without_successes(self, tmp_path):
+        cfg = tmp_path / "weak.ini"
+        cfg.write_text(self.NO_SUCCESS)
+        out = tmp_path / "o"
+        rc = main(["clt", "--config", str(cfg), "--out", str(out), "--mode", "mixed",
+                   "--x-mode", "zero", "--replicates", "1"])
+        assert rc == 0
+        report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
+        assert report["successes"] == 0
+        assert [report[k] for k in ("ks_normal", "mean", "variance", "skewness", "kurtosis")] == [None] * 5
+        for line in (out / "samples.jsonl").read_text().splitlines():
+            json.loads(line, parse_constant=_reject_constant)
+
+    def test_consistency_with_every_replicate_flagged(self, tmp_path, desk_config, monkeypatch):
+        def fault(S, m):
+            raise NoConvergence("injected fault")
+
+        monkeypatch.setattr(montecarlo, "top_eigenpairs", fault)
+        out = tmp_path / "o"
+        rc = main(["consistency", "--config", desk_config, "--out", str(out),
+                   "--replicates", "2", "--threads", "1"])
+        assert rc == 0
+        rep = json.loads((out / "consistency.json").read_text(), parse_constant=_reject_constant)
+        assert rep["flagged"] == 2
+        assert rep["median_inner_sq"] == [None] * 4
+
+
+def cli_env(env_extra):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(spikedcov.__file__))
     env.update(env_extra)
+    return env
+
+
+def run_cli(args, env_extra):
+    """`python -m spikedcov.cli ARGS` in a fresh interpreter."""
     return subprocess.run(
         [sys.executable, "-m", "spikedcov.cli", *args],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=cli_env(env_extra), capture_output=True, text=True, timeout=120,
     )
+
+
+def manifest_mismatches(out):
+    """Files a manifest in ``out`` lists with a hash their bytes do not have."""
+    files = json.loads((out / "manifest.json").read_text())["files"]
+    return [name for name, digest in files.items()
+            if not (out / name).is_file()
+            or hashlib.sha256((out / name).read_bytes()).hexdigest() != digest]
+
+
+def assert_manifest_lists_every_file(out):
+    """A clean run's manifest lists exactly its other files, each with its hash."""
+    files = json.loads((out / "manifest.json").read_text())["files"]
+    assert set(files) == {p.name for p in out.iterdir()} - {"manifest.json"}
+    assert not any(name.endswith(".tmp") for name in files)
+    assert manifest_mismatches(out) == []
 
 
 class TestExitCodeContract:
@@ -378,6 +448,23 @@ class TestExitCodeContract:
         assert len(proc.stderr.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, edit", [
+        pytest.param("generate", ("master_seed = 5", "master_seed = x"), id="generate-seed-x"),
+        pytest.param("eigs", ("master_seed = 5", "master_seed = 1.5"), id="eigs-seed-1.5"),
+        pytest.param("check-identities", ("nu = 1", "nu = 1.5"), id="check-identities-nu-1.5"),
+    ])
+    def test_non_integer_seed_or_nu_in_config_file_is_config_error(self, tmp_path, command, edit):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(MINIMAL.replace(*edit))
+        out = tmp_path / "o"
+        flags = [] if command == "check-identities" else ["--out", str(out)]
+        proc = run_cli([command, "--config", str(cfg), *flags], {})
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error:")
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["generate", "eigs"])
     def test_single_job_commands_take_no_threads_flag(self, tmp_path, desk_config, command):
         out = tmp_path / "o"
@@ -392,6 +479,47 @@ class TestExitCodeContract:
         cfg.write_text(DESK.replace("x_mode = zero", "x_mode = iter:x"))
         assert main(["clt", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "x_mode" in capsys.readouterr().err
+
+
+def _snapshot(out):
+    """Name -> (size, mtime) of every entry; None when one vanishes mid-scan."""
+    try:
+        return {e.name: (e.stat().st_size, e.stat().st_mtime_ns) for e in os.scandir(out)}
+    except FileNotFoundError:
+        return None
+
+
+class TestCrashSafety:
+    """A rerun killed midway leaves no manifest, or one whose every hash matches."""
+
+    @pytest.mark.parametrize("moment", ["first-change", "writing-Z.csv"])
+    def test_sigkill_during_rerun(self, tmp_path, moment):
+        out = tmp_path / "o"
+        argv = ["generate", "--config", str(CLT_ORACLE_DESK), "--with-z", "--out", str(out)]
+        first = run_cli([*argv, "--seed", "1"], {})
+        assert first.returncode == 0, first.stderr
+        assert_manifest_lists_every_file(out)
+        before = _snapshot(out)
+
+        def reached(snap):
+            if moment == "first-change":
+                return snap != before
+            return snap is not None and "Z.csv.tmp" in snap
+
+        rerun = subprocess.Popen(
+            [sys.executable, "-m", "spikedcov.cli", *argv, "--seed", "2"],
+            env=cli_env({}), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 120
+            while not reached(_snapshot(out)):
+                assert rerun.poll() is None, "the rerun ended before the kill"
+                assert time.monotonic() < deadline
+        finally:
+            rerun.send_signal(signal.SIGKILL)
+            rerun.wait()
+        assert rerun.returncode == -signal.SIGKILL
+        assert not (out / "manifest.json").exists() or manifest_mismatches(out) == []
 
 
 def _reachable_source(fn) -> str:
@@ -439,6 +567,7 @@ class BlockScipy:
 
 sys.meta_path.insert(0, BlockScipy())
 from spikedcov.cli import main
+from spikedcov.errors import NoConvergence
 
 rc = main(sys.argv[1:])
 loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
@@ -531,16 +660,30 @@ class TestCliFuzz:
         assert rc in (0, 2, 3, 4, 5)
         assert "Traceback" not in err.getvalue()
 
+    # the flags each --config command takes besides --config
+    CONFIG_COMMANDS = {
+        "generate": ["--out", "{tmp}/o", "--with-z"],
+        "eigs": ["--out", "{tmp}/o"],
+        "clt": ["--out", "{tmp}/o", "--replicates", "2", "--threads", "1"],
+        "eigvec": ["--out", "{tmp}/o", "--replicates", "2", "--threads", "1"],
+        "consistency": ["--out", "{tmp}/o", "--replicates", "2", "--threads", "1"],
+        "check-identities": ["--series-terms", "4"],
+    }
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(data=st.one_of(ini_text(), st.binary(max_size=200)))
-    def test_config_file_exit_code_contract(self, data):
+    def test_config_file_exit_code_contract(self, command, data):
+        if command == "eigvec":
+            # an eigvec statistic, so that the edits reach past the family check
+            data = data.replace(b"clt_mixed", b"eigvec_A")
         err = io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
             path = os.path.join(tmp, "fuzz.ini")
             with open(path, "wb") as fh:
                 fh.write(data)
-            rc = main(["clt", "--config", path, "--out", os.path.join(tmp, "o"),
-                       "--replicates", "2", "--threads", "1"])
+            flags = [f.format(tmp=tmp) for f in self.CONFIG_COMMANDS[command]]
+            rc = main([command, "--config", path, *flags])
         assert rc in (0, 2, 3, 4, 5)
         assert "Traceback" not in err.getvalue()
 
@@ -555,6 +698,7 @@ class TestBlasThreadIndependence:
             {"OPENBLAS_NUM_THREADS": blas},
         )
         assert proc.returncode == 0, proc.stderr
+        assert_manifest_lists_every_file(out)
         return {name: (out / name).read_bytes() for name in ("samples.csv", "report.json")}
 
     def test_outputs_are_byte_identical(self, tmp_path):
@@ -578,6 +722,7 @@ class TestSingleJobThreadIndependence:
     def outputs(self, out, job, threads):
         proc = run_cli([*self.JOBS[job], "--out", str(out)], {"SPIKED_EIG_THREADS": threads})
         assert proc.returncode == 0, proc.stderr
+        assert_manifest_lists_every_file(out)
         return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
 
     @pytest.mark.parametrize("job", JOBS)
