@@ -56,18 +56,28 @@ def _replace(path, write, *args) -> None:
     os.replace(tmp, path)
 
 
+#: Every file name a command writes into its output directory.
+OUTPUT_NAMES = (
+    "X.csv", "X.bin", "Z.csv", "Z.bin", "eigenvalues.csv", "eigenvectors.bin",
+    "report.json", "samples.jsonl", "samples.csv", "consistency.json",
+    "concentration_sm.json", "concentration_hw.json", "manifest.json",
+)
+
+
 class Manifest:
     """The one writer of an output directory: each file whole, the manifest last.
 
     A run that dies midway leaves no manifest, never one that lists a file
-    it had not finished.
+    it had not finished. A new job first removes the old manifest and the
+    ``name.tmp`` a killed run may have left for any name in OUTPUT_NAMES.
     """
 
     def __init__(self, config_path, out_dir, master_seed):
         os.makedirs(out_dir, exist_ok=True)
         self.path = os.path.join(out_dir, "manifest.json")
-        if os.path.lexists(self.path):
-            os.remove(self.path)
+        for path in [self.path] + [os.path.join(out_dir, name + ".tmp") for name in OUTPUT_NAMES]:
+            if os.path.lexists(path):
+                os.remove(path)
         self.record = {
             "tool": "spikedcov",
             "version": __version__,
@@ -80,6 +90,8 @@ class Manifest:
         self.out_dir = out_dir
 
     def save(self, name, write, *args) -> None:
+        if name not in OUTPUT_NAMES:
+            raise ValueError(f"{name!r} is not in OUTPUT_NAMES")
         path = os.path.join(self.out_dir, name)
         _replace(path, write, *args)
         self.add(path)

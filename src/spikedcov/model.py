@@ -68,12 +68,45 @@ class EntryLaw:
     def sample(self, stream: Stream, shape) -> np.ndarray:
         if self.kind == "gaussian":
             return stream.normals(shape)
+        return self._from_uniforms(stream.uniforms(shape))
+
+    def units(self, count: int) -> tuple[int, int]:
+        """``(units, uniforms)`` of a draw of ``count`` values.
+
+        ``sample_block`` cuts the draw into blocks of units [0, units): a
+        gaussian unit is a Box-Muller pair, any other law's unit one value.
+        The draw reads ``uniforms`` uniforms of its stream.
+        """
+        if self.kind == "gaussian":
+            half = (count + 1) // 2
+            return half, 2 * half
+        return count, count
+
+    def sample_block(
+        self, stream: Stream, start: int, count: int, lo: int, hi: int
+    ) -> list[tuple[int, np.ndarray]]:
+        """Units [lo, hi) of a draw of ``count`` values at uniform offset ``start``.
+
+        Returns ``(flat offset, values)`` segments: flat i is value i of
+        ``sample(stream, count)`` had the stream stood at ``start``. A
+        gaussian block is two segments, the cosines of its pairs at flat
+        [lo, hi) and their sines at flat [half + lo, half + hi), without the
+        last sine when ``count`` is odd; any other law's block is flat
+        [lo, hi), from uniforms start + lo onward. ``stream`` does not move.
+        """
+        if self.kind == "gaussian":
+            half = (count + 1) // 2
+            cos, sin = stream.pairs(start, half, lo, hi)
+            return [(lo, cos), (half + lo, sin[: max(0, min(hi, count - half) - lo)])]
+        return [(lo, self._from_uniforms(stream.window(start + lo, np.empty(hi - lo))))]
+
+    def _from_uniforms(self, u: np.ndarray) -> np.ndarray:
         if self.kind == "uniform":
-            return (2.0 * stream.uniforms(shape) - 1.0) * math.sqrt(3.0)
+            return (2.0 * u - 1.0) * math.sqrt(3.0)
         p = self.p
         hi = math.sqrt((1.0 - p) / p)
         lo = -math.sqrt(p / (1.0 - p))
-        return np.where(stream.uniforms(shape) < p, hi, lo)
+        return np.where(u < p, hi, lo)
 
     def label(self) -> str:
         return self.kind if self.p is None else f"{self.kind}:{self.p:g}"

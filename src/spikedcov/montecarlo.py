@@ -311,9 +311,13 @@ def consistency_report(config: ExperimentConfig) -> dict:
     inners = np.vstack([r[1] for r in results])
     replicate_flags = [r[3] for r in results]
     ok = np.array([f is None for f in replicate_flags])
+
+    def median(values: np.ndarray) -> np.ndarray:
+        return np.median(values[ok], axis=0) if ok.any() else np.full(spec.M, math.nan)
+
     return {
-        "median_max_ratio_error": np.median(max_errs[ok], axis=0),
-        "median_inner_sq": np.median(inners[ok], axis=0),
+        "median_max_ratio_error": median(max_errs),
+        "median_inner_sq": median(inners),
         "max_ratio_error": max_errs,
         "inner_sq": inners,
         "flags": flags,
@@ -345,8 +349,8 @@ def concentration_sm_check(
     sqrt(p) + C (sqrt(q) + t)]. The true bound guarantees rate
     <= 2 exp(-t^2) for a universal constant; C is a calibrated stand-in.
     """
-    if p < 1 or q < 1:
-        raise InvalidDims(f"need p, q >= 1, got ({p}, {q})")
+    if p < 1 or q < 1 or reps < 1:
+        raise InvalidDims(f"need p, q, reps >= 1, got ({p}, {q}, {reps})")
     lower = math.sqrt(p) - C * (math.sqrt(q) + t)
     upper = math.sqrt(p) + C * (math.sqrt(q) + t)
     stream = Stream(seed, "concentration-sm", p, q, law.label())
@@ -372,6 +376,11 @@ def concentration_sm_check(
     }
 
 
+#: Units (normal pairs, else values) per block of concentration_hw_check,
+#: rounded down to whole rows: about 2 MB per block per draw.
+_HW_BLOCK = 1 << 17
+
+
 def concentration_hw_check(
     p: int,
     law,
@@ -387,7 +396,18 @@ def concentration_hw_check(
     min(t^2 / (p ||C||^2), t / ||C||); the fitted constant is the largest c
     with empirical tail <= 2 exp(-c shape(t)) across the grid. ``matrixC``
     None is the p x p identity, and y C = y is not formed.
+
+    The reps x p draws y and y2 are made in blocks at their stream offsets
+    (``EntryLaw.sample_block``), fanned out over the cores, so memory is
+    O(workers x block), not O(reps p). Each block reduces its whole rows;
+    rows cut by a block edge are put back together in flat order and reduced
+    at the end, so every row is the same contiguous p values as in one
+    whole draw. With ``matrixC`` None the result is bit-identical to that
+    draw; otherwise ``y C`` is formed by blocks of rows, and ``samples_hw``
+    agrees with the whole-matrix product to 1e-12 of max |y^T C y|.
     """
+    if p < 1 or reps < 1:
+        raise InvalidDims(f"need p, reps >= 1, got ({p}, {reps})")
     if matrixC is None:
         opnorm, trace = 1.0, float(p)
     else:
@@ -398,11 +418,44 @@ def concentration_hw_check(
         trace = float(np.trace(C))
     t_grid = np.asarray(t_grid, dtype=np.float64)
     stream = Stream(seed, "concentration-hw", p, law.label())
-    y = law.sample(stream, (reps, p))
-    y2 = law.sample(stream, (reps, p))
-    yC = y if matrixC is None else y @ C
-    quad = np.einsum("ij,ij->i", yC, y)
-    cross = np.einsum("ij,ij->i", yC, y2)
+    count = reps * p
+    units, used = law.units(count)  # y reads uniforms [0, used), y2 [used, 2 used)
+    step = max(1, _HW_BLOCK // p) * p
+    quad = np.empty(reps)
+    cross = np.empty(reps)
+
+    def reduce(rows, y: np.ndarray, y2: np.ndarray) -> None:
+        y, y2 = y.reshape(-1, p), y2.reshape(-1, p)
+        yC = y if matrixC is None else y @ C
+        quad[rows] = np.einsum("ij,ij->i", yC, y)
+        cross[rows] = np.einsum("ij,ij->i", yC, y2)
+
+    def block(lo: int) -> list:
+        """Reduce the whole rows of units [lo, lo + step); return the pieces of cut rows."""
+        hi = min(lo + step, units)
+        pieces = []
+        for (flat, y), (_, y2) in zip(
+            law.sample_block(stream, 0, count, lo, hi),
+            law.sample_block(stream, used, count, lo, hi),
+        ):
+            end = flat + len(y)
+            first = min(-(-flat // p) * p, end)  # the whole rows are flat [first, last)
+            last = max(end // p * p, first)
+            i, j = first - flat, last - flat
+            if j > i:
+                reduce(slice(first // p, last // p), y[i:j], y2[i:j])
+            for a, b in ((0, i), (j, len(y))):
+                if b > a:
+                    pieces.append((flat + a, y[a:b].copy(), y2[a:b].copy()))
+        return pieces
+
+    pieces = sorted(
+        [piece for part in fan_out(block, range(0, units, step)) for piece in part],
+        key=lambda piece: piece[0],
+    )
+    if pieces:
+        flats, ys, y2s = zip(*pieces)
+        reduce(sorted({flat // p for flat in flats}), np.concatenate(ys), np.concatenate(y2s))
     tail_hw = np.array([np.mean(np.abs(quad - trace) >= t) for t in t_grid])
     tail_ahw = np.array([np.mean(np.abs(cross) >= t) for t in t_grid])
     if opnorm > 0.0:

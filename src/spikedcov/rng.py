@@ -15,6 +15,7 @@ and its output does not depend on the cut.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from . import cores
 _TAU = 2.0 * np.pi
 #: Normal pairs per span below which a draw is not cut further.
 _MIN_SPAN = 1 << 15
-#: Normal pairs per block of the in-place transform in a split draw.
+#: Normal pairs per block of the in-place transform in ``Stream.pairs``.
 _BLOCK = 1 << 14
 _WORD = (1 << 64) - 1
 
@@ -94,37 +95,62 @@ class Stream:
         """i.i.d. uniforms on [0, 1)."""
         return self._gen.random(size=shape, dtype=np.float64)
 
+    def window(self, offset: int, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with the uniforms at ``offset`` onward; this stream does not move."""
+        gen = np.random.Generator(np.random.Philox(key=self.key))
+        _seek(gen.bit_generator, offset)
+        return gen.random(out=out)
+
+    def pairs(
+        self, start: int, half: int, lo: int, hi: int, radius=None, angle=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Pairs [lo, hi) of a draw of ``half`` normal pairs at uniform offset ``start``.
+
+        Pair j takes uniforms start + j and start + half + j; its cosine is
+        flat value j of the draw and its sine flat value half + j. Returns
+        (cosines of flat [lo, hi), sines of flat [half + lo, half + hi)),
+        written into ``radius`` and ``angle`` when given. This stream does
+        not move. The transform runs _BLOCK pairs at a time, so its only
+        temporary is small and stays in cache (on a pool thread a large one
+        outlives the draw in the thread's malloc arena).
+        """
+        radius = np.empty(hi - lo) if radius is None else radius
+        angle = np.empty(hi - lo) if angle is None else angle
+        self.window(start + lo, radius)
+        self.window(start + half + lo, angle)
+        _box_muller(radius, angle, _BLOCK)
+        return radius, angle
+
     def normals(self, shape) -> np.ndarray:
         """i.i.d. standard normals via Box-Muller.
 
         The 2 * half uniforms drawn hold the radius half, then the angle
-        half. Pair j uses uniforms j and half + j, so a span of pairs seeks
-        a generator of its own to both of its offsets, fills its two slices
-        and transforms them in place. The draw is one span inside another
-        fan-out or below 2 * _MIN_SPAN pairs, else up to one per core; the
-        stream ends where a serial draw would leave it.
+        half, so one span is one read of the stream into the output. At
+        2 * _MIN_SPAN pairs or more, outside another fan-out, the draw splits
+        into up to one span of ``pairs`` per core; the stream ends where a
+        serial draw would leave it.
         """
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape) if np.iterable(shape) else int(shape)
         half = (count + 1) // 2
         parts = 1 if half < 2 * _MIN_SPAN else min(cores.free_workers(), half // _MIN_SPAN)
-        bounds = [half * i // parts for i in range(parts + 1)]
-        # A split span transforms in blocks, so a pool thread's only temporary
-        # is small and stays in cache (a large one outlives the draw in the
-        # thread's malloc arena). One span is one block: every block costs a
-        # GIL round trip, which stalls while replicate threads hold the GIL.
-        block = _BLOCK if parts > 1 else max(half, 1)
-        start = _position(self._gen.bit_generator)
         z = np.empty(2 * half)
+        if parts == 1:
 
-        def span(i: int) -> None:
-            lo, hi = bounds[i], bounds[i + 1]
-            radius, angle = z[lo:hi], z[half + lo : half + hi]
-            gen = np.random.Generator(np.random.Philox(key=self.key))
-            for offset, out in ((lo, radius), (half + lo, angle)):
-                _seek(gen.bit_generator, start + offset)
-                gen.random(out=out)
-            _box_muller(radius, angle, block)
+            def span(_) -> None:
+                # one block: every block costs a GIL round trip, which stalls
+                # while replicate threads hold the GIL
+                self._gen.random(out=z)
+                _box_muller(z[:half], z[half:], max(half, 1))
+
+        else:
+            bounds = [half * i // parts for i in range(parts + 1)]
+            start = _position(self._gen.bit_generator)
+
+            def span(i: int) -> None:
+                lo, hi = bounds[i], bounds[i + 1]
+                self.pairs(start, half, lo, hi, z[lo:hi], z[half + lo : half + hi])
 
         cores.fan_out(span, range(parts))
-        _seek(self._gen.bit_generator, start + 2 * half)
+        if parts > 1:
+            _seek(self._gen.bit_generator, start + 2 * half)
         return z[:count].reshape(shape)

@@ -2,13 +2,17 @@
 
 Everything here is deliberately naive: schoolbook polynomial-matrix
 products, fresh expansion of each power, exact rational arithmetic for the
-tiny cases, and high-precision Newton refinement for roots. None of it
-shares code with the package implementations it checks.
+tiny cases, high-precision Newton refinement for roots, and whole draws
+for the streamed concentration check. None of it shares code with the
+package implementations it checks, apart from the samplers that draw the
+whole matrices (checked against Box-Muller in test_rng).
 """
 
 from fractions import Fraction
 
 import numpy as np
+
+from spikedcov.rng import Stream
 
 
 def polymul_mat(p, q):
@@ -181,3 +185,26 @@ def ecdf(sample):
         return np.searchsorted(ref, t, side="right") / len(ref)
 
     return cdf
+
+
+def hw_unstreamed(p, law, matrixC, t_grid, reps, seed):
+    """concentration_hw_check's samples and tails from whole draws of y and y2.
+
+    The formula the streamed check replaced: both reps x p draws held at
+    once and reduced row by row in one einsum each.
+    """
+    stream = Stream(seed, "concentration-hw", p, law.label())
+    y = law.sample(stream, (reps, p))
+    y2 = law.sample(stream, (reps, p))
+    if matrixC is None:
+        yC, trace = y, float(p)
+    else:
+        yC, trace = y @ np.asarray(matrixC, dtype=np.float64), float(np.trace(matrixC))
+    quad = np.einsum("ij,ij->i", yC, y)
+    cross = np.einsum("ij,ij->i", yC, y2)
+    return {
+        "samples_hw": quad - trace,
+        "cross": cross,
+        "tail_hw": np.array([np.mean(np.abs(quad - trace) >= t) for t in t_grid]),
+        "tail_ahw": np.array([np.mean(np.abs(cross) >= t) for t in t_grid]),
+    }

@@ -316,6 +316,7 @@ nu = 2
         for line in (out / "samples.jsonl").read_text().splitlines():
             json.loads(line, parse_constant=_reject_constant)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_consistency_with_every_replicate_flagged(self, tmp_path, desk_config, monkeypatch):
         def fault(S, m):
             raise NoConvergence("injected fault")
@@ -520,6 +521,17 @@ class TestCrashSafety:
             rerun.wait()
         assert rerun.returncode == -signal.SIGKILL
         assert not (out / "manifest.json").exists() or manifest_mismatches(out) == []
+
+    def test_rerun_removes_a_killed_runs_tmp(self, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "Z.csv.tmp").write_text("0.5,0.25\n")  # what a kill while writing Z.csv leaves
+        (out / "notes.tmp").write_text("not ours")
+        rc = main(["generate", "--config", str(CLT_ORACLE_DESK), "--out", str(out), "--seed", "1"])
+        assert rc == 0
+        assert (out / "notes.tmp").read_text() == "not ours"
+        (out / "notes.tmp").unlink()
+        assert_manifest_lists_every_file(out)
 
 
 def _reachable_source(fn) -> str:

@@ -2,6 +2,7 @@ import json
 import os
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -29,8 +30,9 @@ from spikedcov.montecarlo import (
     run_experiment,
     simulate_instance,
 )
+from spikedcov.rng import Stream
 
-from .oracles import ecdf
+from .oracles import ecdf, hw_unstreamed
 
 
 @pytest.fixture(scope="module")
@@ -318,6 +320,11 @@ class TestConcentrationSM:
         rec = concentration_sm_check(400, 40, gaussian, 4.5, 200, seed=2024, C=2.0)
         assert rec["violations"] == 0
 
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_invalid_reps(self, gaussian, reps):
+        with pytest.raises(InvalidDims):
+            concentration_sm_check(5, 2, gaussian, 1.0, reps, seed=1)
+
     def test_determinism(self, gaussian):
         a = concentration_sm_check(20, 5, gaussian, 1.0, 500, seed=7)
         b = concentration_sm_check(20, 5, gaussian, 1.0, 500, seed=7)
@@ -325,6 +332,58 @@ class TestConcentrationSM:
 
 
 class TestConcentrationHW:
+    LAWS = [EntryLaw.gaussian(), EntryLaw.uniform_scaled(), EntryLaw.two_point(0.05)]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("law", LAWS, ids=lambda law: law.label())
+    def test_streamed_bit_identical_to_whole_draws(self, monkeypatch, law, threads):
+        monkeypatch.setenv("SPIKED_EIG_THREADS", threads)
+        # blocks of 1 to 5 rows: rows cut by block edges, and sine segments
+        # starting mid-row whenever reps * p / 2 is not a multiple of p
+        monkeypatch.setattr(montecarlo, "_HW_BLOCK", 5)
+        for p in (1, 2, 3, 7):
+            for reps in (1, 2, 5, 8, 31):
+                want = hw_unstreamed(p, law, None, [0.0], reps, 11)
+                grid = np.unique(np.abs(np.concatenate([want["samples_hw"], want["cross"]])))
+                want = hw_unstreamed(p, law, None, grid, reps, 11)
+                got = concentration_hw_check(p, law, None, grid, reps, 11)
+                for key in ("samples_hw", "tail_hw", "tail_ahw"):
+                    np.testing.assert_array_equal(got[key], want[key], err_msg=f"{key} {p} {reps}")
+
+    @pytest.mark.parametrize("reps", [40_000, 40_001])
+    def test_default_block_bit_identical(self, gaussian, reps):
+        # two blocks of the default size at p = 7
+        grid = np.linspace(0.5, 20.0, 8)
+        want = hw_unstreamed(7, gaussian, None, grid, reps, 12)
+        got = concentration_hw_check(7, gaussian, None, grid, reps, 12)
+        for key in ("samples_hw", "tail_hw", "tail_ahw"):
+            np.testing.assert_array_equal(got[key], want[key])
+
+    def test_dense_matrix_within_stated_tolerance(self, monkeypatch, gaussian):
+        # y C by blocks of rows rounds differently from the whole product
+        monkeypatch.setattr(montecarlo, "_HW_BLOCK", 40)
+        p, reps = 13, 301
+        C = Stream(13, "dense-C").normals((p, p))
+        want = hw_unstreamed(p, gaussian, C, [1.0], reps, 13)
+        got = concentration_hw_check(p, gaussian, C, [1.0], reps, 13)
+        scale = np.max(np.abs(want["samples_hw"] + np.trace(C)))
+        np.testing.assert_allclose(got["samples_hw"], want["samples_hw"], rtol=0,
+                                   atol=1e-12 * scale)
+
+    def test_memory_is_a_few_blocks(self, gaussian):
+        tracemalloc.start()
+        try:
+            concentration_hw_check(100, gaussian, None, np.linspace(5.0, 60.0, 12), 100_000, 2024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6  # whole draws of y and y2 alone are 160 MB
+
+    @pytest.mark.parametrize("p, reps", [(0, 10), (-1, 10), (5, 0), (5, -2)])
+    def test_invalid_dims(self, gaussian, p, reps):
+        with pytest.raises(InvalidDims):
+            concentration_hw_check(p, gaussian, None, [1.0], reps, 1)
+
     def test_zero_matrix_tail(self, gaussian):
         rec = concentration_hw_check(10, gaussian, np.zeros((10, 10)), [0.5, 1.0], 2000, seed=3)
         assert not np.any(rec["tail_hw"])
