@@ -304,8 +304,12 @@ def cmd_concentration(args) -> int:
     _require_positive(replicates=args.replicates, p=args.p)
     if args.kind == "sm":
         _require_positive(q=args.q)
+        if args.q > args.p:
+            raise ConfigInvalid(f"--q {args.q} > --p {args.p}: the band is stated for q <= p")
     else:
         _require_positive(t_count=args.t_count)
+        if not (0 <= args.t_min < math.inf and 0 <= args.t_max < math.inf):
+            raise ConfigInvalid(f"--t-min and --t-max must be finite and >= 0, got {args.t_min}, {args.t_max}")
     law = parse_law(args.law)
     if args.kind == "sm":
         out = concentration_sm_check(

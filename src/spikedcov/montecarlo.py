@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import centering as ctr
-from .cores import default_workers, fan_out, free_workers, one_blas_thread
+from .cores import default_workers, fan_out, one_blas_thread
 from .eigen import (
     EigenSystem,
     alignment,
@@ -329,8 +329,79 @@ def consistency_report(config: ExperimentConfig) -> dict:
     }
 
 
-#: Matrices drawn and factored per batch of concentration_sm_check.
+def _reduce_rows(law, stream, width: int, block: int, draws, reduce) -> None:
+    """``reduce(rows, *values)`` over every row of ``width`` values of ``draws``.
+
+    A draw ``(first row, count, starts)`` is ``count`` values of ``law`` at
+    each uniform offset in ``starts``, one value array per offset for
+    ``reduce``. It is cut into blocks of ``block``
+    units, rounded down to whole rows, fanned out over the cores. A block
+    reduces its whole rows and keeps the pieces of rows cut by a segment
+    edge; these are put back together in flat order and reduced at the end.
+    """
+    step = max(1, block // width) * width
+    blocks = [
+        (row * width, count, starts, lo)
+        for row, count, starts in draws
+        for lo in range(0, law.units(count)[0], step)
+    ]
+
+    def run(item) -> list:
+        base, count, starts, lo = item
+        hi = min(lo + step, law.units(count)[0])
+        pieces = []
+        for segments in zip(*(law.sample_block(stream, s, count, lo, hi) for s in starts)):
+            flat = base + segments[0][0]
+            values = [v for _, v in segments]
+            end = flat + len(values[0])
+            first = min(-(-flat // width) * width, end)  # the whole rows are flat [first, last)
+            last = max(end // width * width, first)
+            i, j = first - flat, last - flat
+            if j > i:
+                reduce(slice(first // width, last // width), *(v[i:j] for v in values))
+            for a, b in ((0, i), (j, end - flat)):
+                if b > a:
+                    pieces.append((flat + a, *(v[a:b].copy() for v in values)))
+        return pieces
+
+    pieces = sorted(
+        [piece for part in fan_out(run, blocks) for piece in part], key=lambda piece: piece[0]
+    )
+    if pieces:
+        flats, *values = zip(*pieces)
+        reduce(sorted({flat // width for flat in flats}), *(np.concatenate(v) for v in values))
+
+
+#: Matrices per stream draw of concentration_sm_check: part of the stream
+#: layout, not a knob. A gaussian draw of k values pairs uniform j with
+#: uniform (k + 1) // 2 + j, so the chunk fixes which uniforms meet.
 _SM_CHUNK = 128
+#: Units (normal pairs, else values) per block of concentration_sm_check,
+#: rounded down to whole matrices: 2 MB per value array. 2^17 lost
+#: throughput (more interpreter-lock round trips beside the pool's SVDs);
+#: 2^19 raised the peak memory.
+_SM_BLOCK = 1 << 18
+
+
+def _sm_singular_values(p: int, q: int, law, reps: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(s_1, s_q) of each matrix of concentration_sm_check, in blocks of its draws.
+
+    Bit-identical to SVDs of whole draws of _SM_CHUNK matrices at a time.
+    """
+    stream = Stream(seed, "concentration-sm", p, q, law.label())
+    draws, offset = [], 0
+    for done in range(0, reps, _SM_CHUNK):
+        count = min(_SM_CHUNK, reps - done) * p * q
+        draws.append((done, count, (offset,)))
+        offset += law.units(count)[1]
+    s1, sq = np.empty(reps), np.empty(reps)
+
+    def reduce(rows, a: np.ndarray) -> None:
+        s = np.linalg.svd(a.reshape(-1, p, q), compute_uv=False)
+        s1[rows], sq[rows] = s[:, 0], s[:, -1]
+
+    _reduce_rows(law, stream, p * q, _SM_BLOCK, draws, reduce)
+    return s1, sq
 
 
 def concentration_sm_check(
@@ -344,29 +415,21 @@ def concentration_sm_check(
 ) -> dict:
     """Empirical violation rate of the two-sided singular value band.
 
-    A replicate violates when s_1 or s_q of a p x q matrix with i.i.d.
-    entries from ``law`` leaves [sqrt(p) - C (sqrt(q) + t),
+    A replicate violates when s_1 or s_q of a p x q matrix (q <= p) with
+    i.i.d. entries from ``law`` leaves [sqrt(p) - C (sqrt(q) + t),
     sqrt(p) + C (sqrt(q) + t)]. The true bound guarantees rate
     <= 2 exp(-t^2) for a universal constant; C is a calibrated stand-in.
     """
     if p < 1 or q < 1 or reps < 1:
         raise InvalidDims(f"need p, q, reps >= 1, got ({p}, {q}, {reps})")
+    if q > p:
+        raise InvalidDims(f"the band is stated for q <= p, got (p, q) = ({p}, {q})")
+    if not (math.isfinite(t) and math.isfinite(C) and t >= 0.0 and C >= 0.0):
+        raise ConfigInvalid(f"t and C must be finite and >= 0, got t = {t}, C = {C}")
     lower = math.sqrt(p) - C * (math.sqrt(q) + t)
     upper = math.sqrt(p) + C * (math.sqrt(q) + t)
-    stream = Stream(seed, "concentration-sm", p, q, law.label())
-    violations = 0
-    done = 0
-    while done < reps:
-        take = min(_SM_CHUNK, reps - done)
-        A = law.sample(stream, (take, p, q))
-        # each matrix's SVD is independent, so the split leaves its bits alone
-        parts = np.array_split(A, min(take, free_workers()))
-        svals = np.concatenate(fan_out(lambda part: np.linalg.svd(part, compute_uv=False), parts))
-        s1 = svals[:, 0]
-        sq = svals[:, -1]
-        bad = (s1 > upper) | (s1 < lower) | (sq > upper) | (sq < lower)
-        violations += int(np.sum(bad))
-        done += take
+    s1, sq = _sm_singular_values(p, q, law, reps, seed)
+    violations = int(np.sum((s1 > upper) | (s1 < lower) | (sq > upper) | (sq < lower)))
     return {
         "violations": violations,
         "rate": violations / reps,
@@ -398,13 +461,11 @@ def concentration_hw_check(
     None is the p x p identity, and y C = y is not formed.
 
     The reps x p draws y and y2 are made in blocks at their stream offsets
-    (``EntryLaw.sample_block``), fanned out over the cores, so memory is
-    O(workers x block), not O(reps p). Each block reduces its whole rows;
-    rows cut by a block edge are put back together in flat order and reduced
-    at the end, so every row is the same contiguous p values as in one
-    whole draw. With ``matrixC`` None the result is bit-identical to that
-    draw; otherwise ``y C`` is formed by blocks of rows, and ``samples_hw``
-    agrees with the whole-matrix product to 1e-12 of max |y^T C y|.
+    and reduced row by row (``_reduce_rows``), so memory is
+    O(workers x block), not O(reps p). With ``matrixC`` None the result is
+    bit-identical to one whole draw of each; otherwise ``y C`` is formed by
+    blocks of rows, and ``samples_hw`` agrees with the whole-matrix product
+    to 1e-12 of max |y^T C y|.
     """
     if p < 1 or reps < 1:
         raise InvalidDims(f"need p, reps >= 1, got ({p}, {reps})")
@@ -417,10 +478,11 @@ def concentration_hw_check(
         opnorm = float(np.linalg.norm(C, 2)) if np.any(C) else 0.0
         trace = float(np.trace(C))
     t_grid = np.asarray(t_grid, dtype=np.float64)
+    if not np.all(np.isfinite(t_grid) & (t_grid >= 0.0)):
+        raise ConfigInvalid(f"every t must be finite and >= 0, got {t_grid.tolist()}")
     stream = Stream(seed, "concentration-hw", p, law.label())
     count = reps * p
-    units, used = law.units(count)  # y reads uniforms [0, used), y2 [used, 2 used)
-    step = max(1, _HW_BLOCK // p) * p
+    used = law.units(count)[1]  # y reads uniforms [0, used), y2 [used, 2 used)
     quad = np.empty(reps)
     cross = np.empty(reps)
 
@@ -430,32 +492,7 @@ def concentration_hw_check(
         quad[rows] = np.einsum("ij,ij->i", yC, y)
         cross[rows] = np.einsum("ij,ij->i", yC, y2)
 
-    def block(lo: int) -> list:
-        """Reduce the whole rows of units [lo, lo + step); return the pieces of cut rows."""
-        hi = min(lo + step, units)
-        pieces = []
-        for (flat, y), (_, y2) in zip(
-            law.sample_block(stream, 0, count, lo, hi),
-            law.sample_block(stream, used, count, lo, hi),
-        ):
-            end = flat + len(y)
-            first = min(-(-flat // p) * p, end)  # the whole rows are flat [first, last)
-            last = max(end // p * p, first)
-            i, j = first - flat, last - flat
-            if j > i:
-                reduce(slice(first // p, last // p), y[i:j], y2[i:j])
-            for a, b in ((0, i), (j, len(y))):
-                if b > a:
-                    pieces.append((flat + a, y[a:b].copy(), y2[a:b].copy()))
-        return pieces
-
-    pieces = sorted(
-        [piece for part in fan_out(block, range(0, units, step)) for piece in part],
-        key=lambda piece: piece[0],
-    )
-    if pieces:
-        flats, ys, y2s = zip(*pieces)
-        reduce(sorted({flat // p for flat in flats}), np.concatenate(ys), np.concatenate(y2s))
+    _reduce_rows(law, stream, p, _HW_BLOCK, [(0, count, (0, used))], reduce)
     tail_hw = np.array([np.mean(np.abs(quad - trace) >= t) for t in t_grid])
     tail_ahw = np.array([np.mean(np.abs(cross) >= t) for t in t_grid])
     if opnorm > 0.0:

@@ -208,3 +208,18 @@ def hw_unstreamed(p, law, matrixC, t_grid, reps, seed):
         "tail_hw": np.array([np.mean(np.abs(quad - trace) >= t) for t in t_grid]),
         "tail_ahw": np.array([np.mean(np.abs(cross) >= t) for t in t_grid]),
     }
+
+
+def sm_unstreamed(p, q, law, reps, seed):
+    """concentration_sm_check's per-matrix (s_1, s_q) from whole draws.
+
+    The formula the streamed check replaced: each chunk of up to 128
+    matrices drawn in one stack and put through one batched SVD.
+    """
+    stream = Stream(seed, "concentration-sm", p, q, law.label())
+    svals = [
+        np.linalg.svd(law.sample(stream, (min(128, reps - done), p, q)), compute_uv=False)
+        for done in range(0, reps, 128)
+    ]
+    svals = np.concatenate(svals)
+    return svals[:, 0], svals[:, -1]

@@ -389,6 +389,12 @@ class TestExitCodeContract:
         ["concentration", "--kind", "hw", "--t-count", "-1"],
         ["concentration", "--kind", "hw", "--p", "-2"],
         ["concentration", "--kind", "sm", "--law", "twopoint:abc"],
+        ["concentration", "--kind", "sm", "--t", "nan"],
+        ["concentration", "--kind", "sm", "--t=-3"],
+        ["concentration", "--kind", "sm", "--constant", "nan"],
+        ["concentration", "--kind", "sm", "--p", "10", "--q", "50"],
+        ["concentration", "--kind", "hw", "--t-min", "nan"],
+        ["concentration", "--kind", "hw", "--t-max", "inf"],
         ["mp", "--gamma", "-1", "--z-grid", "1:5:4"],
         ["mp", "--gamma", "0", "--z-grid", "1:5:4"],
         ["mp", "--gamma", "nan", "--z-grid", "1:5:4"],

@@ -32,7 +32,7 @@ from spikedcov.montecarlo import (
 )
 from spikedcov.rng import Stream
 
-from .oracles import ecdf, hw_unstreamed
+from .oracles import ecdf, hw_unstreamed, sm_unstreamed
 
 
 @pytest.fixture(scope="module")
@@ -330,6 +330,51 @@ class TestConcentrationSM:
         b = concentration_sm_check(20, 5, gaussian, 1.0, 500, seed=7)
         assert a == b
 
+    LAWS = [EntryLaw.gaussian(), EntryLaw.uniform_scaled(), EntryLaw.two_point(0.05)]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("law", LAWS, ids=lambda law: law.label())
+    def test_streamed_bit_identical_to_whole_draws(self, monkeypatch, law, threads):
+        monkeypatch.setenv("SPIKED_EIG_THREADS", threads)
+        # p q odd and even; blocks of 1 to 3 matrices: an odd chunk's sines
+        # start mid-matrix, so its matrices are cut and put back together
+        for p, q, per_block in ((3, 1, 1), (7, 3, 2), (4, 2, 3), (5, 2, 1)):
+            monkeypatch.setattr(montecarlo, "_SM_BLOCK", per_block * p * q)
+            for reps in (1, 2, 127, 128, 129, 255, 257):
+                want = sm_unstreamed(p, q, law, reps, 21)
+                got = montecarlo._sm_singular_values(p, q, law, reps, 21)
+                for w, g in zip(want, got):
+                    np.testing.assert_array_equal(g, w, err_msg=f"{p}x{q} {reps}")
+
+    @pytest.mark.parametrize("reps", [129, 163])
+    def test_default_block_bit_identical(self, gaussian, reps):
+        # acceptance size, 16 matrices per block; the last chunk is odd: at
+        # 163 its sines start mid-matrix, and two matrices are cut
+        want = sm_unstreamed(400, 40, gaussian, reps, 22)
+        got = montecarlo._sm_singular_values(400, 40, gaussian, reps, 22)
+        for w, g in zip(want, got):
+            np.testing.assert_array_equal(g, w)
+
+    def test_memory_is_a_few_blocks(self, gaussian):
+        tracemalloc.start()
+        try:
+            concentration_sm_check(400, 40, gaussian, 4.5, 1000, seed=2024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6  # one whole chunk of 128 matrices alone is 16.4 MB
+
+    def test_band_needs_q_at_most_p(self, gaussian):
+        with pytest.raises(InvalidDims):
+            concentration_sm_check(10, 50, gaussian, 1.0, 10, seed=1)
+
+    @pytest.mark.parametrize("t, C", [
+        (np.nan, 2.0), (np.inf, 2.0), (-3.0, 2.0), (1.0, np.nan), (1.0, -1.0), (1.0, np.inf),
+    ])
+    def test_band_needs_finite_nonnegative_t_and_constant(self, gaussian, t, C):
+        with pytest.raises(ConfigInvalid):
+            concentration_sm_check(5, 2, gaussian, t, 10, seed=1, C=C)
+
 
 class TestConcentrationHW:
     LAWS = [EntryLaw.gaussian(), EntryLaw.uniform_scaled(), EntryLaw.two_point(0.05)]
@@ -383,6 +428,11 @@ class TestConcentrationHW:
     def test_invalid_dims(self, gaussian, p, reps):
         with pytest.raises(InvalidDims):
             concentration_hw_check(p, gaussian, None, [1.0], reps, 1)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -1.0])
+    def test_grid_needs_finite_nonnegative_t(self, gaussian, t):
+        with pytest.raises(ConfigInvalid):
+            concentration_hw_check(5, gaussian, None, [1.0, t], 10, 1)
 
     def test_zero_matrix_tail(self, gaussian):
         rec = concentration_hw_check(10, gaussian, np.zeros((10, 10)), [0.5, 1.0], 2000, seed=3)
