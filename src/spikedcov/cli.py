@@ -6,7 +6,7 @@ output file with its SHA-256 hash, so a run is reproducible from
 (config, seed, version).
 
 Exit codes: 0 success, 2 config error, 3 numeric precondition,
-4 tolerance failure, 5 IO error.
+4 tolerance failure, 5 IO or resource error.
 """
 
 from __future__ import annotations
@@ -418,6 +418,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        print(f"out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
         return EXIT_IO
     except SpikedCovError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -187,32 +187,32 @@ def bulk_trace(S: np.ndarray, M: int, l_hat: float) -> float:
     alone, which in C order is the lower triangle that LAPACK's ``dpotrf``
     and ``dtrtri`` read and overwrite, so the other triangle stays zero and
     ||L^{-1}||_F^2 is a sum over all of A. Where numpy's OpenBLAS exports
-    no such routines, ``np.linalg.cholesky`` and ``inv`` give the factor.
+    no such routines, the sum is taken over ``eigvalsh`` of S_BB.
 
     Raises
     ------
     NotInvertible
         If A is not positive definite: l_hat is not above the top of S_BB.
     """
-    A = np.ascontiguousarray(np.triu(np.asarray(S, dtype=np.float64)[M:, M:]))
-    np.negative(A, out=A)
-    p = A.shape[0]
-    A.flat[:: p + 1] += l_hat
+    S_BB = np.asarray(S, dtype=np.float64)[M:, M:]
+    p = S_BB.shape[0]
     lapack = _lapack_cholesky_inverse()
     failed = f"l_hat = {l_hat:g} is not above the top eigenvalue of S_BB"
     if lapack is None:
-        try:
-            A = np.linalg.inv(np.linalg.cholesky(A.T))
-        except np.linalg.LinAlgError:
-            raise NotInvertible(failed) from None
-    else:
-        integer, potrf, trtri = lapack
-        order, info = integer(p), integer(0)
-        potrf(b"L", ctypes.byref(order), A.ctypes.data, ctypes.byref(order), ctypes.byref(info))
-        if info.value == 0:
-            trtri(b"L", b"N", ctypes.byref(order), A.ctypes.data, ctypes.byref(order), ctypes.byref(info))
-        if info.value != 0:
-            raise NotInvertible(f"{failed} (LAPACK info {info.value})")
+        m = np.linalg.eigvalsh(S_BB, UPLO="U")
+        if p and l_hat <= m[-1]:
+            raise NotInvertible(failed)
+        return float(np.sum(m / (l_hat - m)))
+    A = np.ascontiguousarray(np.triu(S_BB))
+    np.negative(A, out=A)
+    A.flat[:: p + 1] += l_hat
+    integer, potrf, trtri = lapack
+    order, info = integer(p), integer(0)
+    potrf(b"L", ctypes.byref(order), A.ctypes.data, ctypes.byref(order), ctypes.byref(info))
+    if info.value == 0:
+        trtri(b"L", b"N", ctypes.byref(order), A.ctypes.data, ctypes.byref(order), ctypes.byref(info))
+    if info.value != 0:
+        raise NotInvertible(f"{failed} (LAPACK info {info.value})")
     return float(l_hat * np.einsum("ij,ij->", A, A) - p)
 
 

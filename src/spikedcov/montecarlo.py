@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import centering as ctr
-from .cores import default_workers, fan_out, one_blas_thread
+from .cores import default_workers, fan_out, free_workers, one_blas_thread
 from .eigen import (
     EigenSystem,
     alignment,
@@ -334,12 +334,14 @@ def _reduce_rows(law, stream, width: int, block: int, draws, reduce) -> None:
 
     A draw ``(first row, count, starts)`` is ``count`` values of ``law`` at
     each uniform offset in ``starts``, one value array per offset for
-    ``reduce``. It is cut into blocks of ``block``
-    units, rounded down to whole rows, fanned out over the cores. A block
-    reduces its whole rows and keeps the pieces of rows cut by a segment
-    edge; these are put back together in flat order and reduced at the end.
+    ``reduce``. It is cut into blocks of ``block`` units, at most the
+    units per free worker, rounded down to whole rows, fanned out over the
+    cores. A block reduces its whole rows and keeps the pieces of rows cut
+    by a segment edge; these are put back together in flat order and
+    reduced at the end.
     """
-    step = max(1, block // width) * width
+    per_worker = -(-sum(law.units(count)[0] for _, count, _ in draws) // free_workers())
+    step = max(1, min(block, per_worker) // width) * width
     blocks = [
         (row * width, count, starts, lo)
         for row, count, starts in draws

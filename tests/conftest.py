@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from spikedcov.model import EntryLaw, SpikedModelSpec
+
+# Property tests draw the same examples on every run; a test's own
+# @settings still sets its example count.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import resource
 import signal
 import subprocess
 import sys
@@ -414,6 +415,25 @@ class TestExitCodeContract:
         assert len(proc.stderr.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("job", ["generate", "hw"])
+    def test_out_of_memory_is_resource_error(self, tmp_path, job):
+        # Under a 3 GB address-space limit, so no allocation runs unbounded.
+        cfg = tmp_path / "huge.ini"
+        cfg.write_text(MINIMAL.replace("n = 10", "n = 2000000").replace("N = 8", "N = 1000000"))
+        args = {
+            "generate": ["generate", "--config", str(cfg)],
+            "hw": ["concentration", "--kind", "hw", "--p", "1000000000", "--replicates", "10"],
+        }[job]
+        proc = subprocess.run(
+            [sys.executable, "-m", "spikedcov.cli", *args, "--out", str(tmp_path / "o")],
+            env=cli_env({"SPIKED_EIG_THREADS": "2"}), capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)),
+        )
+        assert proc.returncode == 5
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("out of memory:")
+        assert len(proc.stderr.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("command, edit", [
         pytest.param("clt", ("statistic = clt_oracle", "statistic = eigvec_A"), id="clt-eigvec_A"),
         pytest.param("clt", ("statistic = clt_oracle", "statistic = concentration_hw"),
@@ -748,3 +768,18 @@ class TestSingleJobThreadIndependence:
         serial = self.outputs(tmp_path / "one", job, "1")
         assert serial
         assert self.outputs(tmp_path / "two", job, "2") == serial
+
+    @pytest.mark.parametrize("job", ["sm", "hw"])
+    def test_a_one_block_draw_is_split_across_workers(self, tmp_path, monkeypatch, job):
+        # Both draws fit in one block; with 2 workers each worker takes a share.
+        monkeypatch.setenv("SPIKED_EIG_THREADS", "2")
+        blocks = []
+
+        def counting(fn, items, *args):
+            items = list(items)
+            blocks.append(len(items))
+            return cores.fan_out(fn, items, *args)
+
+        monkeypatch.setattr(montecarlo, "fan_out", counting)
+        assert main([*self.JOBS[job], "--out", str(tmp_path / "o")]) == 0
+        assert blocks and min(blocks) >= 2

@@ -170,13 +170,16 @@ class TestBulkSpectrum:
         assert bulk_trace(S, 1, top * (1.0 + 1e-9)) > 0.0
 
     def test_numpy_fallback_agrees_with_lapack(self, monkeypatch):
-        Z = Stream(10, "bulk", 200, 150).normals((200, 150))
-        Z[:3] *= np.sqrt([60.0, 30.0, 15.0])[:, None]
-        S = sample_covariance(Z)
-        l_hats = top_eigenvalues(S, 3)
-        fast = [bulk_trace(S, 3, l_hat) for l_hat in l_hats]
-        without_lapack(monkeypatch)
-        slow = [bulk_trace(S, 3, l_hat) for l_hat in l_hats]
+        fast, slow = [], []
+        for N, n in ((200, 150), (120, 300)):  # p > n and p <= n
+            Z = Stream(10, "bulk", N, n).normals((N, n))
+            Z[:3] *= np.sqrt([60.0, 30.0, 15.0])[:, None]
+            S = sample_covariance(Z)
+            for l_hat in (*top_eigenvalues(S, 3), 1.01 * top_eigenvalues(S[3:, 3:], 1)[0]):
+                fast.append(bulk_trace(S, 3, l_hat))
+                with monkeypatch.context() as patch:
+                    without_lapack(patch)
+                    slow.append(bulk_trace(S, 3, l_hat))
         np.testing.assert_allclose(slow, fast, rtol=1e-12, atol=0.0)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
