@@ -1,27 +1,28 @@
 """CLT centerings and the polynomial machinery for the deterministic shift x.
 
-The spike-interaction shift x is characterized as the root of
-
-    x = Obar + sum_{1 <= j <= 2 s^2 + 2s} Obar_j x^j,
-
-whose coefficients come from a matrix-valued polynomial in z built from the
-spike resolvent: with R_nu = diag(1/(l_k - l_nu), 0 at nu) and Itilde the
+The spike-interaction shift x is characterized as the root of x = F(x), with
+the map F built from a matrix-valued polynomial in z from the spike
+resolvent: with R_nu = diag(1/(l_k - l_nu), 0 at nu) and Itilde the
 all-ones M x M matrix,
 
     Mnu(z) = sum_{0 <= j <= s} (1/n^{j+1}) Lambda^{1/2}
              (-R_nu Lambda^{1/2} Itilde Lambda^{1/2} + n z l_nu R_nu)^j
              R_nu Lambda^{1/2} Itilde,
 
-three scalar polynomials a, b, c are read off Mnu, and composing
-sum_j P(z) Q(z)^j with P = sum (2a_i + b_i + c_i) z^i, Q = sum b_i z^i
-yields (Obar, Obar_j). The truncation order is
-s = floor(8 ln n / ln(n/M)).
+three scalar polynomials a, b, c are read off Mnu, and
+
+    F(y) = P(y) sum_{0 <= j <= s} Q(y)^j,  P = sum (2a_i + b_i + c_i) y^i,
+                                           Q = sum b_i y^i.
+
+The truncation order is s = floor(8 ln n / ln(n/M)). The solver evaluates F
+in this factored form (degree 2s in y); ``compose_O`` gives the paper's
+expansion F(y) = Obar + sum_{1 <= j <= 2 s^2 + 2s} Obar_j y^j, whose
+coefficients overflow long before the factored ones as M grows.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +37,6 @@ from .errors import (
     TiedEigenvalues,
 )
 from .model import EntryLaw
-
-#: Soft-check constant for the coefficient bounds |Obar| <= C M/n; the paper's
-#: separation-dependent constant is not explicit, so violations only warn.
-SOFT_BOUND_C = 100.0
 
 
 def truncation_order(n: int, M: int) -> int:
@@ -152,132 +149,85 @@ def compose_O(a, b, c, s: int) -> tuple[float, np.ndarray]:
 
 @dataclass
 class PolynomialCoefficients:
-    """Everything the root solver needs, bundled with its truncation order."""
+    """The scalar polynomials a, b, c of the x map, with its truncation order s."""
 
     s: int
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    O_bar: float
-    O_j: np.ndarray
-    M: int = 0
-    n: int = 0
-
-    def soft_bound_check(self) -> None:
-        if self.n <= 0 or self.M <= 0:
-            return
-        scale = self.M / self.n
-        if abs(self.O_bar) > SOFT_BOUND_C * scale:
-            warnings.warn(
-                f"|Obar| = {abs(self.O_bar):.3e} exceeds C*M/n = {SOFT_BOUND_C * scale:.3e}",
-                stacklevel=2,
-            )
-        log_c = math.log(SOFT_BOUND_C)
-        js = np.nonzero(np.abs(self.O_j) > 0)[0]
-        for j in js:
-            # bound |Obar_j| <= C^(j+1) M/n compared in log space (C^j overflows)
-            if math.log(abs(self.O_j[j])) > (j + 2) * log_c + math.log(scale):
-                warnings.warn(
-                    f"|Obar_{j + 1}| = {abs(self.O_j[j]):.3e} exceeds C^(j+1)*M/n",
-                    stacklevel=2,
-                )
-                break
 
 
 def polynomial_coefficients(spikes, nu: int, n: int, s: int | None = None) -> PolynomialCoefficients:
-    """Full pipeline from spikes to (Obar, Obar_j); M = 1 gives all zeros."""
+    """Full pipeline from spikes to (a, b, c); M = 1 gives all zeros.
+
+    Overflow is left to the solver, which reports non-finite coefficients as
+    NoRoot, so it is not warned about here.
+    """
     ls = np.atleast_1d(np.asarray(spikes, dtype=np.float64))
-    M = len(ls)
     if s is None:
-        s = truncation_order(n, M)
-    poly = matrix_polynomial_Mnu(ls, nu, n, s)
-    a, b, c = abc_coefficients(poly, ls, nu, n)
-    O_bar, O_j = compose_O(a, b, c, s)
-    out = PolynomialCoefficients(s=s, a=a, b=b, c=c, O_bar=O_bar, O_j=O_j, M=M, n=n)
-    out.soft_bound_check()
-    return out
+        s = truncation_order(n, len(ls))
+    with np.errstate(over="ignore", invalid="ignore"):
+        poly = matrix_polynomial_Mnu(ls, nu, n, s)
+        a, b, c = abc_coefficients(poly, ls, nu, n)
+    return PolynomialCoefficients(s=s, a=a, b=b, c=c)
 
 
-def _poly_map(coeffs: PolynomialCoefficients, y: float) -> float:
-    """Obar + sum_j Obar_j y^j."""
-    acc = 0.0
-    for oj in coeffs.O_j[::-1]:
-        acc = acc * y + oj
-    return coeffs.O_bar + acc * y
+def _x_map(coeffs: PolynomialCoefficients, y: float) -> float:
+    """F(y) = P(y) sum_{j <= s} Q(y)^j by Horner in y and then in Q(y).
+
+    Python floats: an overflow gives inf or nan, never a warning.
+    """
+    a, b, c = (v.tolist()[::-1] for v in (coeffs.a, coeffs.b, coeffs.c))
+    p = q = 0.0
+    for ai, bi, ci in zip(a, b, c, strict=True):
+        p = p * y + (2.0 * ai + bi + ci)
+        q = q * y + bi
+    geo = 0.0
+    for _ in range(coeffs.s + 1):
+        geo = geo * q + 1.0
+    return p * geo
 
 
 def root_residual(coeffs: PolynomialCoefficients, x: float) -> float:
-    """|x - Obar - sum_j Obar_j x^j|, the defect of a candidate root."""
-    return abs(x - _poly_map(coeffs, x))
+    """|x - F(x)|, the defect of a candidate root."""
+    return abs(x - _x_map(coeffs, x))
 
 
 def solve_x(coeffs: PolynomialCoefficients) -> float:
-    """Root of x = Obar + sum Obar_j x^j near zero.
+    """Root of x = F(x) by fixed-point iteration from 0, at most 200 steps.
 
-    Fixed-point iteration from 0 when the contraction heuristic
-    sum_j |Obar_j| (2 |Obar|)^{j-1} < 1 holds (it mirrors the existence
-    argument for the root); otherwise bracketed bisection on
-    f(y) = y - Obar - sum Obar_j y^j over |y| <= 10 max(|Obar|, M/n).
+    Returns x only when it is finite and |x - F(x)| <= 1e-13 (1 + |x|);
+    raises NoRoot otherwise, and when a, b or c is not finite.
     """
-    O_bar, O_j = coeffs.O_bar, coeffs.O_j
-    if not np.any(O_j):
-        return O_bar
-    radius = 2.0 * abs(O_bar)
-    powers = radius ** np.arange(len(O_j))
-    contraction = float(np.sum(np.abs(O_j) * powers))
-    if contraction < 1.0:
-        x = 0.0
-        for _ in range(200):
-            nxt = _poly_map(coeffs, x)
-            if abs(nxt - x) <= 2.5e-14 * (1.0 + abs(nxt)):
-                x = nxt
-                break
-            x = nxt
-        if abs(x - _poly_map(coeffs, x)) <= 1e-13 * (1.0 + abs(x)):
-            return x
-    # fallback: bisection
-    scale = coeffs.M / coeffs.n if coeffs.n > 0 else abs(O_bar)
-    bound = 10.0 * max(abs(O_bar), scale)
-    if bound == 0.0:
-        return 0.0
-    g = lambda y: y - _poly_map(coeffs, y)
-    lo, hi = -bound, bound
-    glo, ghi = g(lo), g(hi)
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    if glo * ghi > 0.0:
-        raise NoRoot(
-            f"no sign change of y - f(y) on [-{bound:g}, {bound:g}]: "
-            "coefficients outside the contraction regime"
-        )
+    if not all(np.isfinite(v).all() for v in (coeffs.a, coeffs.b, coeffs.c)):
+        raise NoRoot("the x map has non-finite coefficients")
+    x = 0.0
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm == 0.0 or hi - lo <= 1e-16 * (1.0 + abs(mid)):
-            return mid
-        if glo * gm <= 0.0:
-            hi = mid
-        else:
-            lo, glo = mid, gm
-    x = 0.5 * (lo + hi)
-    if abs(x - _poly_map(coeffs, x)) > 1e-13 * (1.0 + abs(x)):
-        raise NoRoot("bisection stalled above the residual tolerance")
-    return x
+        nxt = _x_map(coeffs, x)
+        done = abs(nxt - x) <= 2.5e-14 * (1.0 + abs(nxt))
+        x = nxt
+        if done:
+            break
+    residual = root_residual(coeffs, x)
+    if math.isfinite(x) and residual <= 1e-13 * (1.0 + abs(x)):
+        return x
+    raise NoRoot(f"fixed-point iteration for x did not converge: x = {x:g}, |x - F(x)| = {residual:g}")
 
 
 def iterate_x_expansion(coeffs: PolynomialCoefficients, k0: int) -> float:
-    """(k0 - 1)-step successive substitution X_{t+1} = Obar + sum Obar_j X_t^j.
+    """(k0 - 1)-step successive substitution X_{t+1} = F(X_t) from X_0 = 0.
 
-    X_0 = 0, so k0 = 1 returns 0 and k0 = 2 returns Obar exactly; the
-    approximation error to the true root is O((M/n)^{k0}).
+    k0 = 1 returns 0 and k0 = 2 returns F(0), the paper's Obar; the
+    approximation error to the true root is O((M/n)^{k0}). A non-finite
+    X_{k0-1} raises NoRoot.
     """
     if k0 < 1:
         raise InvalidDims(f"need k0 >= 1, got {k0}")
     x = 0.0
     for _ in range(k0 - 1):
-        x = _poly_map(coeffs, x)
+        x = _x_map(coeffs, x)
+    if not math.isfinite(x):
+        raise NoRoot(f"{k0 - 1} substitution steps for x reached {x:g}")
     return x
 
 

@@ -66,7 +66,7 @@ class InsideSpectrum(NumericPrecondition):
 
 
 class NoRoot(NumericPrecondition):
-    """Root solver could not bracket a root (coefficients out of regime)."""
+    """Root solver found no certified root (no convergence or non-finite map)."""
 
 
 class SeriesDiverges(NumericPrecondition):

@@ -148,29 +148,31 @@ def exact_rational_abc(spike_squares, nu, n, s):
     return a, b, c
 
 
-def newton_refine_root(O_bar, O_j, x0, dps=60):
-    """High-precision Newton refinement of x = Obar + sum Obar_j x^j."""
+def newton_refine_root(a, b, c, s, x0, dps=60):
+    """High-precision Newton refinement of x = P(x) sum_{j<=s} Q(x)^j.
+
+    P = 2a + b + c and Q = b, the factored x map, evaluated with their
+    derivatives by mpmath.polyval at ``dps`` digits.
+    """
     import mpmath
 
     with mpmath.workdps(dps):
-        coeffs = [mpmath.mpf(float(v)) for v in O_j]
-        obar = mpmath.mpf(float(O_bar))
+        # polyval takes the highest degree first
+        P = [2 * mpmath.mpf(float(ai)) + mpmath.mpf(float(bi)) + mpmath.mpf(float(ci))
+             for ai, bi, ci in zip(a, b, c)][::-1]
+        Q = [mpmath.mpf(float(bi)) for bi in b][::-1]
+        G = [mpmath.mpf(1)] * (s + 1)
 
-        def g(x):
-            acc = mpmath.mpf(0)
-            for cj in reversed(coeffs):
-                acc = acc * x + cj
-            return obar + acc * x - x
-
-        def dg(x):
-            acc = mpmath.mpf(0)
-            for j in range(len(coeffs), 0, -1):
-                acc = acc * x + j * coeffs[j - 1]
-            return acc - 1
+        def g_and_slope(x):
+            p, dp = mpmath.polyval(P, x, derivative=True)
+            q, dq = mpmath.polyval(Q, x, derivative=True)
+            geo, dgeo = mpmath.polyval(G, q, derivative=True)
+            return p * geo - x, dp * geo + p * dgeo * dq - 1
 
         x = mpmath.mpf(float(x0))
         for _ in range(80):
-            step = g(x) / dg(x)
+            g, dg = g_and_slope(x)
+            step = g / dg
             x = x - step
             if abs(step) < mpmath.mpf(10) ** (-dps + 5):
                 break

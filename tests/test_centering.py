@@ -1,9 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikedcov.centering import (
+    PolynomialCoefficients,
+    _x_map,
     clt_centering,
     clt_statistics,
     compose_O,
@@ -13,6 +18,7 @@ from spikedcov.centering import (
     oracle_centering,
     polynomial_coefficients,
     resolve_x_mode,
+    root_residual,
     series_expansion_check,
     solve_x,
     statistical_centering,
@@ -28,6 +34,7 @@ from spikedcov.eigen import (
 )
 from spikedcov.errors import (
     InvalidDims,
+    NoRoot,
     NotInvertible,
     NotSeparated,
     SpikeAtOne,
@@ -106,13 +113,28 @@ class TestComposeO:
             assert expanded == pytest.approx(direct, rel=1e-12)
 
 
+def geometric_spikes(n, M, ratio, exponent):
+    """n^exponent ratio^k for k = M-1 ... 0, the largest first."""
+    return n**exponent * ratio ** np.arange(M)[::-1]
+
+
+def leading_term(spikes, nu, n):
+    """(1/n) sum_{k != nu} l_k / (l_nu - l_k), the leading term of x."""
+    mask = np.arange(len(spikes)) != nu - 1
+    return float(np.sum(spikes[mask] / (spikes[nu - 1] - spikes[mask])) / n)
+
+
+def assert_certified(coeffs, x):
+    """x is finite and |x - F(x)| <= 1e-13 (1 + |x|); NaN fails both."""
+    assert math.isfinite(x)
+    assert root_residual(coeffs, x) <= 1e-13 * (1.0 + abs(x))
+
+
 class TestSolveX:
     def test_geometric_linear_case(self):
-        s = 1
-        coeffs = polynomial_coefficients([9.0], 1, 100, s=s)
-        coeffs.O_bar = 0.01
-        coeffs.O_j = np.zeros(4)
-        coeffs.O_j[0] = 0.1
+        # 2a = [0.01, 0.1], b = c = 0: x = 0.01 + 0.1 x
+        zeros = np.zeros(3)
+        coeffs = PolynomialCoefficients(s=1, a=np.array([0.005, 0.05, 0.0]), b=zeros, c=zeros)
         assert solve_x(coeffs) == pytest.approx(0.01 / 0.9, rel=1e-13)
 
     def test_single_spike_zero(self):
@@ -125,18 +147,90 @@ class TestSolveX:
         for nu in (1, 5, 12):
             coeffs = polynomial_coefficients(spikes, nu, n)
             x = solve_x(coeffs)
-            resid = abs(x - coeffs.O_bar - np.sum(coeffs.O_j * x ** np.arange(1, len(coeffs.O_j) + 1)))
+            O_bar, O_j = compose_O(coeffs.a, coeffs.b, coeffs.c, coeffs.s)
+            resid = abs(x - O_bar - np.sum(O_j * x ** np.arange(1, len(O_j) + 1)))
             assert resid <= 1e-13 * (1.0 + abs(x))
 
     def test_high_precision_oracle(self):
         from .oracles import newton_refine_root
 
-        n = 2000
-        spikes = (n**0.8) * 2.0 ** np.arange(20)[::-1]
-        coeffs = polynomial_coefficients(spikes, 3, n)
-        x = solve_x(coeffs)
-        x_ref = newton_refine_root(coeffs.O_bar, coeffs.O_j, x)
-        assert abs(x - x_ref) <= 1e-12 * (1.0 + abs(x_ref))
+        cases = [
+            (2000, 20, 2.0, 0.8, 3),
+            # M = 20 and 40: the expanded coefficients Obar_j overflow here
+            (1000, 20, 1.15, 0.9, 1),
+            (1000, 40, 1.15, 0.9, 20),
+        ]
+        for n, M, ratio, exponent, nu in cases:
+            coeffs = polynomial_coefficients(geometric_spikes(n, M, ratio, exponent), nu, n)
+            x = solve_x(coeffs)
+            x_ref = newton_refine_root(coeffs.a, coeffs.b, coeffs.c, coeffs.s, x)
+            assert abs(x - x_ref) <= 1e-12 * (1.0 + abs(x_ref))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_coefficients_raise(self, bad):
+        coeffs = polynomial_coefficients(geometric_spikes(1000, 4, 2.0, 0.9), 1, 1000)
+        coeffs.b[1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoRoot):
+                solve_x(coeffs)
+
+    def test_overflowing_coefficients_raise(self):
+        # spikes 1e-11 apart (relative): building a, b, c overflows
+        spikes = geometric_spikes(200, 10, 1.0 + 1e-11, 0.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coeffs = polynomial_coefficients(spikes, 5, 200)
+            with pytest.raises(NoRoot, match="non-finite"):
+                solve_x(coeffs)
+
+    def test_no_convergence_raises(self):
+        # n = 200, M = 16, ratio 1.11: the iteration from 0 runs off to inf
+        coeffs = polynomial_coefficients(geometric_spikes(200, 16, 1.11, 0.9), 16, 200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoRoot):
+                solve_x(coeffs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([200, 500, 1000]),
+        m_share=st.floats(0.0, 1.0),
+        ratio=st.floats(1.11, 2.5),
+        exponent=st.floats(0.5, 1.0),
+        nu_share=st.floats(0.0, 1.0),
+    )
+    def test_certified_root_or_no_root(self, n, m_share, ratio, exponent, nu_share):
+        M = 2 + int(m_share * (n // 8 - 2))
+        nu = 1 + int(nu_share * (M - 1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            coeffs = polynomial_coefficients(geometric_spikes(n, M, ratio, exponent), nu, n)
+            try:
+                x = solve_x(coeffs)
+            except NoRoot:
+                x = None
+        assert not caught
+        if x is not None:
+            assert_certified(coeffs, x)
+
+
+class TestLargeSpikeCount:
+    """n = 1000 and M from 16 to 40, far above the M <= 8 of the shipped configs."""
+
+    @pytest.mark.parametrize("M", [16, 20, 40])
+    def test_certified_root_near_the_leading_term(self, M):
+        n = 1000
+        spikes = geometric_spikes(n, M, 1.15, 0.9)
+        for nu in (1, M // 2, M):
+            coeffs = polynomial_coefficients(spikes, nu, n)
+            x = solve_x(coeffs)
+            assert_certified(coeffs, x)
+            if nu == 1:
+                # the gap to the leading term is 5.3% here and shrinks with n;
+                # at nu = M/2 and M it reaches 15%
+                lead = leading_term(spikes, nu, n)
+                assert abs(x - lead) <= 0.1 * abs(lead)
 
 
 class TestIterateExpansion:
@@ -146,7 +240,15 @@ class TestIterateExpansion:
 
     def test_k0_two_is_obar(self):
         coeffs = polynomial_coefficients([10.0, 3.0], 1, 200)
-        assert iterate_x_expansion(coeffs, 2) == coeffs.O_bar
+        x = iterate_x_expansion(coeffs, 2)
+        assert x == _x_map(coeffs, 0.0)
+        O_bar, _ = compose_O(coeffs.a, coeffs.b, coeffs.c, coeffs.s)
+        assert x == pytest.approx(O_bar, rel=1e-15)
+
+    def test_diverging_iteration_raises(self):
+        coeffs = polynomial_coefficients(geometric_spikes(200, 16, 1.11, 0.9), 16, 200)
+        with pytest.raises(NoRoot):
+            iterate_x_expansion(coeffs, 40)
 
     def test_error_decays_with_k0(self):
         n = 2000

@@ -508,6 +508,48 @@ class TestExitCodeContract:
         assert "x_mode" in capsys.readouterr().err
 
 
+def geometric_config(path, n, N, M, ratio, nu):
+    """An INI with spikes n^0.9 ratio^k for k = M-1 ... 0."""
+    spikes = ", ".join(f"{ratio**k!r}*n^0.9" for k in range(M - 1, -1, -1))
+    path.write_text(
+        f"[model]\nn = {n}\nN = {N}\nM = {M}\nspikes = {spikes}\nlaw = gaussian\n\n"
+        f"[experiment]\nstatistic = clt_mixed\nnu = {nu}\nmaster_seed = 5\n"
+    )
+    return str(path)
+
+
+class TestShiftExitCodes:
+    """The x root above M = sqrt(n): a certified root and exit 0, or exit 3."""
+
+    @pytest.mark.parametrize("x_mode", ["root", "auto"])
+    def test_root_above_sqrt_n_is_certified(self, tmp_path, x_mode):
+        # n = 1000, M = 20: the expanded coefficients Obar_j overflow here
+        cfg = geometric_config(tmp_path / "m20.ini", 1000, 500, 20, 1.15, 1)
+        out = tmp_path / "o"
+        proc = run_cli(["clt", "--config", cfg, "--out", str(out), "--replicates", "2",
+                        "--x-mode", x_mode], {})
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr
+        report = json.loads((out / "report.json").read_text())
+        assert report["extra"]["x_mode"] == "root"
+        x, residual = report["extra"]["x"], report["extra"]["x_residual"]
+        assert abs(x - 0.017019139) <= 1e-9
+        assert residual is not None and residual <= 1e-13 * (1.0 + abs(x))
+
+    @pytest.mark.parametrize("x_mode", ["root", "iter:40"])
+    def test_iteration_without_a_root_is_numeric_error(self, tmp_path, x_mode):
+        # n = 200, M = 16, ratio 1.11, nu = 16: the iteration from 0 runs off to inf
+        cfg = geometric_config(tmp_path / "m16.ini", 200, 100, 16, 1.11, 16)
+        out = tmp_path / "o"
+        proc = run_cli(["clt", "--config", cfg, "--out", str(out), "--replicates", "2",
+                        "--x-mode", x_mode], {})
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stderr.startswith("numeric precondition failed:")
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+
 def _snapshot(out):
     """Name -> (size, mtime) of every entry; None when one vanishes mid-scan."""
     try:
