@@ -39,6 +39,10 @@ from .rng import Stream
 # Block subspace iteration in top_eigenpairs: certificate and sweep cap.
 _SUBSPACE_TOL = 1e-12
 _SUBSPACE_SWEEPS = 64
+# Rows of S per panel of sample_covariance; its temporaries are this many
+# rows of S. Against one syrk at 2000 x 4000 on one BLAS thread, 512-row
+# panels cost 5-7%, 256-row panels 14% and 128-row panels 18%.
+_GRAM_PANEL = 512
 
 
 @dataclass
@@ -217,14 +221,34 @@ def bulk_trace(S: np.ndarray, M: int, l_hat: float) -> float:
 
 
 def sample_covariance(X: np.ndarray) -> np.ndarray:
-    """(1/n) X X^T, exactly symmetric.
+    """(1/n) X X^T, exactly symmetric, written over X's own buffer.
 
-    On a C-contiguous X numpy computes X @ X.T as one triangle (syrk) and
-    mirrors it, so no symmetrizing pass or temporary is needed.
+    X is scratch: its contents are undefined after the call. When n >= N
+    and X is a writeable C-contiguous float64 array, S is returned as a
+    C-contiguous view of X's first N * N values, so a replicate holds one
+    N x n buffer; otherwise S is a new N x N array.
+
+    Row panels I = [i0, i1) of ``_GRAM_PANEL`` rows go down S. A panel's
+    diagonal block is ``X_I @ X_I.T``, which numpy computes as one
+    triangle (syrk) and mirrors, and the rest of its row is one gemm
+    against the rows below it; both are divided by n into rows I of S,
+    which lie within the first i1 rows of X (n >= N), rows no later panel
+    reads. Its lower part is mirrored from the rows above. At N <=
+    _GRAM_PANEL that is the single syrk of ``X @ X.T``, so S is
+    bit-identical to ``(X @ X.T) / n``. The temporaries hold at most
+    ``_GRAM_PANEL`` rows of S.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
-    S = X @ X.T
-    S /= X.shape[1]
+    N, n = X.shape
+    in_place = n >= N and X.flags.writeable
+    S = X.reshape(-1)[: N * N].reshape(N, N) if in_place else np.empty((N, N))
+    for i0 in range(0, N, _GRAM_PANEL):
+        i1 = min(i0 + _GRAM_PANEL, N)
+        X_I = X[i0:i1]
+        diag, right = X_I @ X_I.T, X_I @ X[i1:].T
+        np.divide(diag, n, out=S[i0:i1, i0:i1])
+        np.divide(right, n, out=S[i0:i1, i1:])
+        S[i0:i1, :i0] = S[:i0, i0:i1].T
     return S
 
 

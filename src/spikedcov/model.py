@@ -101,12 +101,17 @@ class EntryLaw:
         return [(lo, self._from_uniforms(stream.window(start + lo, np.empty(hi - lo))))]
 
     def _from_uniforms(self, u: np.ndarray) -> np.ndarray:
+        """The law's values from uniforms ``u``, written over ``u``."""
         if self.kind == "uniform":
-            return (2.0 * u - 1.0) * math.sqrt(3.0)
+            u *= 2.0
+            u -= 1.0
+            u *= math.sqrt(3.0)
+            return u
         p = self.p
-        hi = math.sqrt((1.0 - p) / p)
-        lo = -math.sqrt(p / (1.0 - p))
-        return np.where(u < p, hi, lo)
+        below = u < p
+        u.fill(-math.sqrt(p / (1.0 - p)))
+        np.copyto(u, math.sqrt((1.0 - p) / p), where=below)
+        return u
 
     def label(self) -> str:
         return self.kind if self.p is None else f"{self.kind}:{self.p:g}"

@@ -8,11 +8,35 @@ package implementations it checks, apart from the samplers that draw the
 whole matrices (checked against Box-Muller in test_rng).
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from spikedcov.rng import Stream
+
+
+def box_muller_reference(stream, shape):
+    """The allocating Box-Muller formula that Stream.normals computes in place."""
+    count = int(np.prod(shape)) if shape else 1
+    half = (count + 1) // 2
+    u1 = 1.0 - stream._gen.random(size=half)
+    u2 = stream._gen.random(size=half)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * np.pi * u2
+    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
+    return z[:count].reshape(shape)
+
+
+def law_values_reference(law, stream, shape):
+    """The allocating transforms that ``EntryLaw.sample`` computes in place."""
+    if law.kind == "gaussian":
+        return box_muller_reference(stream, shape)
+    u = stream.uniforms(shape)
+    if law.kind == "uniform":
+        return (2.0 * u - 1.0) * math.sqrt(3.0)
+    p = law.p
+    return np.where(u < p, math.sqrt((1.0 - p) / p), -math.sqrt(p / (1.0 - p)))
 
 
 def polymul_mat(p, q):

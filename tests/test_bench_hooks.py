@@ -32,6 +32,9 @@ def test_every_wrapped_name_resolves():
     assert {
         (rng.Stream, "normals"),
         (montecarlo, "simulate_instance"),
+        # the Gram product is its own layer, not montecarlo self time
+        (montecarlo, "sample_covariance"),
+        (cli, "sample_covariance"),
         (montecarlo, "_replicate_value"),
         (cli, "concentration_sm_check"),
         (cli, "concentration_hw_check"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,7 +164,7 @@ class TestBulkSpectrum:
         with pytest.raises(NotInvertible):
             bulk_trace(S, 1, 2.5)
         Z = Stream(9, "bulk", 40, 30).normals((40, 30))
-        S = sample_covariance(Z)
+        S = sample_covariance(Z.copy())
         top = block_decompose(Z, [1.0]).M_diag[0]
         for l_hat in (top * (1.0 - 1e-9), 0.5 * top, 0.0, -1.0):
             with pytest.raises(NotInvertible):
@@ -223,7 +225,7 @@ class TestSampleCovariance:
 
     def test_trace_identity(self):
         X = Stream(5, "cov").normals((20, 35))
-        S = sample_covariance(X)
+        S = sample_covariance(X.copy())
         assert abs(np.trace(S) - np.sum(X**2) / 35) <= 1e-12 * np.trace(S)
 
     def test_exactly_symmetric(self):
@@ -247,7 +249,36 @@ class TestSampleCovariance:
     ])
     def test_bit_identical_to_the_symmetrized_formula(self, N, n, order):
         X = np.asarray(Stream(7, "cov", N, n).normals((N, n)), order=order)
-        np.testing.assert_array_equal(sample_covariance(X), self.symmetrized_reference(X))
+        S = sample_covariance(X.copy(order="K"))  # X is scratch: keep the original
+        np.testing.assert_array_equal(S, self.symmetrized_reference(X))
+
+    @pytest.mark.parametrize("N, n", [(513, 1000), (1100, 1100), (1100, 2200), (700, 300)])
+    def test_panels_match_the_symmetrized_formula(self, N, n):
+        # two or more row panels, and n < N where S cannot fit in X's rows
+        X = Stream(7, "cov", N, n).normals((N, n))
+        S = sample_covariance(X.copy())
+        np.testing.assert_array_equal(S, S.T)
+        want = self.symmetrized_reference(X)
+        assert np.max(np.abs(S - want)) <= 8 * np.finfo(float).eps * np.max(np.abs(want))
+
+    def test_read_only_input_is_not_written(self):
+        X = Stream(9, "cov").normals((20, 35))
+        X.flags.writeable = False
+        S = sample_covariance(X)
+        assert not np.shares_memory(S, X)
+        np.testing.assert_array_equal(S, self.symmetrized_reference(X))
+
+    def test_written_over_the_buffer_of_x(self):
+        N, n = 1100, 2200
+        X = Stream(8, "cov", N, n).normals((N, n))
+        tracemalloc.start()
+        try:
+            S = sample_covariance(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(S, X) and S.flags.c_contiguous
+        assert peak < N * N * 8
 
 
 class TestBlockDecompose:

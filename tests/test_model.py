@@ -1,8 +1,12 @@
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spikedcov import cores
 from spikedcov.errors import IndexOutOfRange, InvalidSpec
 from spikedcov.model import (
     EntryLaw,
@@ -14,6 +18,8 @@ from spikedcov.model import (
     sample_entry_matrix,
 )
 from spikedcov.rng import Stream
+
+from .oracles import law_values_reference
 
 LAWS = [
     EntryLaw.gaussian(),
@@ -48,6 +54,24 @@ def test_law_moments_million_draws(law):
     assert abs(z.mean()) <= 0.01
     assert abs(z.var() - 1.0) <= 0.02
     assert abs((z**4).mean() - law.fourth_moment) <= 0.15
+
+
+@pytest.mark.parametrize("one_span", [False, True], ids=["spans", "one-span"])
+@pytest.mark.parametrize("law", [LAWS[0], LAWS[1], LAWS[3]], ids=lambda l: l.label())
+def test_draw_is_written_in_place(law, one_span):
+    # the bits of the allocating transforms, with at most a quarter of
+    # the matrix in temporaries; one-span is a replicate's draw
+    N, n, seed = 600, 1200, 11
+    want = law_values_reference(law, Stream(seed, "entries", law.label(), N, n), (N, n))
+    with cores.one_blas_thread() if one_span else contextlib.nullcontext():
+        tracemalloc.start()
+        try:
+            got = sample_entry_matrix(N, n, law, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    np.testing.assert_array_equal(got, want)
+    assert peak <= 1.25 * N * n * 8
 
 
 def test_fourth_moments_closed_form():

@@ -555,6 +555,22 @@ class TestKernelAgainstDenseReference:
             want = np.sum(shifted_resolvent_diag(m_diag, eig.values[nu - 1]))
             assert inst.bulk_trace == pytest.approx(want, rel=KERNEL_RTOL, abs=0.0)
 
+    def test_multi_panel_instance_matches_dense_path(self, gaussian):
+        # N = 600 > eigen._GRAM_PANEL, so the kernel's Gram takes two row
+        # panels; the reference is one product, not sample_covariance
+        spikes = (1200**0.8) * np.array([8.0, 4.0, 2.0, 1.0])
+        spec = SpikedModelSpec(n=1200, N=600, M=4, spikes=spikes, law=gaussian)
+        for nu in range(1, 5):
+            seed = KERNEL_MASTER_SEED + nu
+            inst = simulate_instance(spec, seed, True, nu)
+            X, Z = generate_data(spec, seed)
+            eig = sym_eigen((X @ X.T) / spec.n)
+            np.testing.assert_allclose(inst.l_hat, eig.values[:4], rtol=KERNEL_RTOL)
+            np.testing.assert_allclose(inst.vectors, eig.vectors[:, :4], atol=KERNEL_RTOL)
+            m_diag = block_decompose(Z, spec.spikes).M_diag
+            want = np.sum(shifted_resolvent_diag(m_diag, eig.values[nu - 1]))
+            assert inst.bulk_trace == pytest.approx(want, rel=KERNEL_RTOL, abs=0.0)
+
 
 class TestReplicateFaults:
     """A kernel fault in one replicate is flagged; the job still completes."""

@@ -4,6 +4,8 @@ import pytest
 from spikedcov import cores, rng
 from spikedcov.rng import Stream, derive_key
 
+from .oracles import box_muller_reference
+
 
 def test_same_labels_same_stream():
     a = Stream(123, "x", 4).normals((5, 5))
@@ -40,18 +42,6 @@ def test_normals_moments():
 def test_uniforms_in_unit_interval():
     u = Stream(5, "u").uniforms(10_000)
     assert u.min() >= 0.0 and u.max() < 1.0
-
-
-def box_muller_reference(stream, shape):
-    """The allocating Box-Muller formula that Stream.normals computes in place."""
-    count = int(np.prod(shape)) if shape else 1
-    half = (count + 1) // 2
-    u1 = 1.0 - stream._gen.random(size=half)
-    u2 = stream._gen.random(size=half)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * u2
-    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
-    return z[:count].reshape(shape)
 
 
 @pytest.mark.parametrize("shape", [(), 1, 7, 8, (3, 7), (40, 51), (64, 64)])
@@ -115,3 +105,14 @@ def test_draws_inside_a_fan_out_are_one_span(span_counts):
         Stream(81, "inner").normals(50)
     Stream(81, "outer").normals(50)
     assert span_counts == [1, 3]
+
+
+@pytest.mark.parametrize("shape", [1, 7, 8, (3, 7), (40, 51)])
+def test_one_span_draw_in_blocks_bit_identical(span_counts, shape):
+    # a replicate's draw: one span, transformed 3 pairs at a time
+    a, b = Stream(82, "blocks", repr(shape)), Stream(82, "blocks", repr(shape))
+    with cores.one_blas_thread():
+        got = a.normals(shape)
+    np.testing.assert_array_equal(got, box_muller_reference(b, shape))
+    assert span_counts == [1]
+    np.testing.assert_array_equal(a.uniforms(3), b.uniforms(3))
