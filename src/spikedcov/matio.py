@@ -141,6 +141,10 @@ def write_csv(path, A: np.ndarray) -> None:
 def read_csv(path) -> np.ndarray:
     with open(path, "r", encoding="ascii") as fh:
         rows, cols = (int(v) for v in fh.readline().strip().split(","))
+        if rows * cols == 0:  # write_csv writes no values, only a newline per row
+            if fh.read().strip():
+                raise ValueError(f"header says {(rows, cols)} but the payload holds values")
+            return np.empty((rows, cols))
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.shape != (rows, cols):
         raise ValueError(f"header says {(rows, cols)} but payload is {data.shape}")

@@ -8,8 +8,8 @@ which keeps output bit-identical across platforms sharing IEEE-754 doubles.
 
 Philox is counter-based (Salmon et al., SC'11, "Parallel random numbers: as
 easy as 1, 2, 3"): a generator can start at any offset of its stream. So a
-large draw is cut into spans, one per core, each seeking to its own offset,
-and its output does not depend on the cut.
+stream is only a key and an offset, and a large draw is cut into spans, one
+per core, each read from its own offset, without changing its output.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ _TAU = 2.0 * np.pi
 _MIN_SPAN = 1 << 15
 #: Normal pairs per block of the in-place Box-Muller transform.
 _BLOCK = 1 << 14
-_WORD = (1 << 64) - 1
 
 
 def derive_key(master_seed: int, *parts) -> int:
@@ -34,25 +33,6 @@ def derive_key(master_seed: int, *parts) -> int:
     text = "spikedcov/v1|" + repr(int(master_seed)) + "|" + "|".join(repr(p) for p in parts)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:16], "little")
-
-
-def _position(bits: np.random.Philox) -> int:
-    """Uniforms drawn from a Philox stream so far: four per counter step."""
-    state = bits.state
-    counter = sum(int(c) << (64 * i) for i, c in enumerate(state["state"]["counter"]))
-    return 4 * counter + state["buffer_pos"] - 4
-
-
-def _seek(bits: np.random.Philox, offset: int) -> None:
-    """Move a Philox stream to ``offset`` uniforms from its start."""
-    state = bits.state
-    counter = offset // 4
-    state["state"]["counter"] = np.array(
-        [(counter >> (64 * i)) & _WORD for i in range(4)], dtype=np.uint64
-    )
-    state["buffer_pos"] = 4  # block used up: the next draw computes a fresh one
-    bits.state = state
-    bits.random_raw(offset % 4)
 
 
 def _box_muller(radius: np.ndarray, angle: np.ndarray) -> None:
@@ -76,7 +56,11 @@ def _box_muller(radius: np.ndarray, angle: np.ndarray) -> None:
 
 
 class Stream:
-    """A deterministic, independently-keyed random stream.
+    """A deterministic, independently-keyed random stream: a key and an offset.
+
+    ``offset`` counts the uniforms drawn so far. Each read starts a Philox
+    generator of its own at the offset it reads from, a fixed cost of tens
+    of microseconds.
 
     Parameters
     ----------
@@ -89,17 +73,19 @@ class Stream:
 
     def __init__(self, master_seed: int, *labels):
         self.key = derive_key(master_seed, *labels)
-        self._gen = np.random.Generator(np.random.Philox(key=self.key))
+        self.offset = 0
 
     def uniforms(self, shape) -> np.ndarray:
         """i.i.d. uniforms on [0, 1)."""
-        return self._gen.random(size=shape, dtype=np.float64)
+        u = self.window(self.offset, np.empty(shape))
+        self.offset += u.size
+        return u
 
     def window(self, offset: int, out: np.ndarray) -> np.ndarray:
         """Fill ``out`` with the uniforms at ``offset`` onward; this stream does not move."""
-        gen = np.random.Generator(np.random.Philox(key=self.key))
-        _seek(gen.bit_generator, offset)
-        return gen.random(out=out)
+        bits = np.random.Philox(key=self.key, counter=offset // 4)  # four uniforms a counter
+        bits.random_raw(offset % 4)
+        return np.random.Generator(bits).random(out=out)
 
     def pairs(
         self, start: int, half: int, lo: int, hi: int, radius=None, angle=None
@@ -124,38 +110,22 @@ class Stream:
     def normals(self, shape) -> np.ndarray:
         """i.i.d. standard normals via Box-Muller.
 
-        The 2 * half uniforms drawn hold the radius half, then the angle
-        half, so one span is one read of the stream into the output. At
+        The 2 * half uniforms drawn from ``offset`` on hold the radius half,
+        then the angle half; the offset then moves past them. At
         2 * _MIN_SPAN pairs or more, outside another fan-out, the draw splits
-        into up to one span of ``pairs`` per core; the stream ends where a
-        serial draw would leave it.
+        into up to one span of ``pairs`` per core; below that it is one span.
         """
         count = math.prod(shape) if np.iterable(shape) else int(shape)
         half = (count + 1) // 2
         parts = 1 if half < 2 * _MIN_SPAN else min(cores.free_workers(), half // _MIN_SPAN)
+        bounds = [half * i // parts for i in range(parts + 1)]
+        start = self.offset
         z = np.empty(2 * half)
-        if parts == 1:
 
-            def span(_) -> None:
-                # _BLOCK-pair blocks, not one block of half pairs: the
-                # cosine temporary stays small. Each block is an interpreter
-                # lock round trip, which does not show on a 2-vCPU VM: a
-                # 2000 x 4000 draw beside another thread's draw took 42-47
-                # ns/value in blocks against 46-49 in one block (min of 7),
-                # and beside a top_eigenpairs loop 50.8 against 50.7
-                # (median of 8)
-                self._gen.random(out=z)
-                _box_muller(z[:half], z[half:])
-
-        else:
-            bounds = [half * i // parts for i in range(parts + 1)]
-            start = _position(self._gen.bit_generator)
-
-            def span(i: int) -> None:
-                lo, hi = bounds[i], bounds[i + 1]
-                self.pairs(start, half, lo, hi, z[lo:hi], z[half + lo : half + hi])
+        def span(i: int) -> None:
+            lo, hi = bounds[i], bounds[i + 1]
+            self.pairs(start, half, lo, hi, z[lo:hi], z[half + lo : half + hi])
 
         cores.fan_out(span, range(parts))
-        if parts > 1:
-            _seek(self._gen.bit_generator, start + 2 * half)
+        self.offset = start + 2 * half
         return z[:count].reshape(shape)

@@ -5,7 +5,9 @@ products, fresh expansion of each power, exact rational arithmetic for the
 tiny cases, high-precision Newton refinement for roots, and whole draws
 for the streamed concentration check. None of it shares code with the
 package implementations it checks, apart from the samplers that draw the
-whole matrices (checked against Box-Muller in test_rng).
+whole matrices (checked against Box-Muller in test_rng). The RNG oracles
+take only a stream's key from ``Stream``: they read a numpy Philox
+generator in sequence, or move one through its ``state`` dict.
 """
 
 import math
@@ -16,23 +18,50 @@ import numpy as np
 from spikedcov.rng import Stream
 
 
-def box_muller_reference(stream, shape):
-    """The allocating Box-Muller formula that Stream.normals computes in place."""
+def sequential(master_seed, *labels):
+    """A numpy generator that reads the stream ``Stream(master_seed, *labels)`` in sequence."""
+    return np.random.Generator(np.random.Philox(key=Stream(master_seed, *labels).key))
+
+
+def philox_at(key, offset):
+    """A numpy generator moved to ``offset`` uniforms of the stream ``key``.
+
+    It writes the four 64-bit words of the counter offset // 4 into the
+    Philox state, marks the buffered block used up, and skips offset % 4
+    raw values.
+    """
+    bits = np.random.Philox(key=key)
+    state = bits.state
+    counter = offset // 4
+    state["state"]["counter"] = np.array(
+        [(counter >> (64 * i)) & ((1 << 64) - 1) for i in range(4)], dtype=np.uint64
+    )
+    state["buffer_pos"] = 4
+    bits.state = state
+    bits.random_raw(offset % 4)
+    return np.random.Generator(bits)
+
+
+def box_muller_reference(gen, shape):
+    """The allocating Box-Muller formula that Stream.normals computes in place.
+
+    ``gen`` is a numpy Generator, read in sequence.
+    """
     count = int(np.prod(shape)) if shape else 1
     half = (count + 1) // 2
-    u1 = 1.0 - stream._gen.random(size=half)
-    u2 = stream._gen.random(size=half)
+    u1 = 1.0 - gen.random(size=half)
+    u2 = gen.random(size=half)
     radius = np.sqrt(-2.0 * np.log(u1))
     angle = 2.0 * np.pi * u2
     z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
     return z[:count].reshape(shape)
 
 
-def law_values_reference(law, stream, shape):
-    """The allocating transforms that ``EntryLaw.sample`` computes in place."""
+def law_values_reference(law, gen, shape):
+    """The allocating transforms that ``EntryLaw.sample`` computes in place, read from ``gen``."""
     if law.kind == "gaussian":
-        return box_muller_reference(stream, shape)
-    u = stream.uniforms(shape)
+        return box_muller_reference(gen, shape)
+    u = gen.random(size=shape)
     if law.kind == "uniform":
         return (2.0 * u - 1.0) * math.sqrt(3.0)
     p = law.p

@@ -122,6 +122,103 @@ class TestTopEigenpairs:
         assert np.all(vecs[idx, np.arange(3)] > 0)
 
 
+# top_eigenpairs against sym_eigen. Values: within TOP_M_RTOL * lambda_1.
+# Vectors: within TOP_M_RTOL * lambda_1 / gap of the reference eigenspace,
+# where gap is the distance to the rest of the spectrum (Davis-Kahan). The
+# certificate alone gives 1e-12 * theta over the gap; eigh adds ~N eps.
+# Reference eigenvalues within TOP_M_TIE * lambda_1 of each other are one
+# tied eigenspace: the pairs in it are compared as a subspace.
+TOP_M_RTOL = 1e-10
+TOP_M_TIE = 1e-8
+TOP_M_LAWS = {
+    "gaussian": EntryLaw.gaussian(),
+    "uniform": EntryLaw.uniform_scaled(),
+    "twopoint:0.5": EntryLaw.two_point(0.5),
+}
+
+
+def assert_matches_dense(S, m, vals, vecs):
+    """(vals, vecs) are the top m pairs of sym_eigen(S), tied eigenspaces as subspaces."""
+    ref = sym_eigen(S)
+    top = ref.values[0]
+    np.testing.assert_allclose(vals, ref.values[:m], rtol=0, atol=TOP_M_RTOL * top)
+    np.testing.assert_allclose(vecs.T @ vecs, np.eye(m), rtol=0, atol=1e-12)
+    cuts = np.flatnonzero(-np.diff(ref.values) > TOP_M_TIE * top) + 1
+    for group in np.split(np.arange(len(ref.values)), cuts):
+        inside = group[group < m]
+        if not inside.size:
+            break
+        others = np.delete(ref.values, group)
+        gap = np.min(np.abs(others[:, None] - ref.values[group]))
+        tol = TOP_M_RTOL * top / gap
+        U, V = ref.vectors[:, group], vecs[:, inside]
+        np.testing.assert_allclose(U @ (U.T @ V), V, rtol=0, atol=tol)
+        if group.size == 1:  # a simple eigenvalue: the same vector, sign convention too
+            np.testing.assert_allclose(V, U, rtol=0, atol=tol)
+
+
+class TestTopEigenpairsAgainstDense:
+    """The kernel's top-M against the dense path across shapes, laws and spike rules."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        N=st.integers(min_value=8, max_value=100),
+        n_over_N=st.floats(min_value=0.25, max_value=4.0),
+        m_share=st.floats(min_value=0.0, max_value=1.0),
+        law=st.sampled_from(sorted(TOP_M_LAWS)),
+        rule=st.sampled_from(["readme", "geometric"]),
+        ratio=st.floats(min_value=1.11, max_value=2.5),
+        tie=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_property_matches_sym_eigen(self, N, n_over_N, m_share, law, rule, ratio, tie, seed):
+        # p <= n and p > n, M from 1 to N / 4; spikes c * n^0.9 as in the
+        # README (at least 1), or n^0.9 ratio^k as in the x-root regime test
+        n = max(6, round(n_over_N * N))
+        M = min(1 + int(m_share * (N // 4 - 1)), n - 1)
+        if rule == "readme":
+            spikes = [max(1.0, (M - k) / M * n**0.9) for k in range(M)]
+        else:
+            spikes = list(n**0.9 * ratio ** np.arange(M)[::-1])
+        spec = SpikedModelSpec(n=n, N=N, M=M, spikes=spikes, law=TOP_M_LAWS[law])
+        S = sample_covariance(generate_data(spec, seed)[0])
+        if tie:
+            # tie the top two sample eigenvalues, and the M-th to the one
+            # below it, so a tied eigenspace straddles the cut at M
+            ref = sym_eigen(S)
+            values = ref.values.copy()
+            values[1] = values[0]
+            values[M] = values[M - 1]
+            S = (ref.vectors * values) @ ref.vectors.T
+            S = (S + S.T) / 2.0
+        vals, vecs = top_eigenpairs(S, M)
+        assert_matches_dense(S, M, vals, vecs)
+
+    @pytest.mark.parametrize("N, n", [(60, 40), (40, 120)])
+    def test_injected_slow_gap_is_answered_by_the_dense_path(self, monkeypatch, N, n):
+        # a drawn sample covariance with its bulk lifted to within 1e-3 of
+        # the M-th eigenvalue: the sweep cap runs out before the certificate
+        M = 3
+        spec = SpikedModelSpec(n=n, N=N, M=M, spikes=[40.0, 20.0, 10.0], law=EntryLaw.gaussian())
+        ref = sym_eigen(sample_covariance(generate_data(spec, 17)[0]))
+        values = ref.values.copy()
+        values[M:] = values[M - 1] / (1.0 + 1e-3)
+        S = (ref.vectors * values) @ ref.vectors.T
+        S = (S + S.T) / 2.0
+        calls = []
+
+        def dense(A):
+            calls.append(A.shape)
+            return sym_eigen(A)
+
+        monkeypatch.setattr(eigen_module, "sym_eigen", dense)
+        vals, vecs = top_eigenpairs(S, M)
+        assert calls == [S.shape]
+        want = sym_eigen(S)
+        np.testing.assert_array_equal(vals, want.values[:M])
+        np.testing.assert_array_equal(vecs, want.vectors[:, :M])
+
+
 # bulk_trace against the sum over block_decompose's spectrum: relative
 # 1e-12 times the condition number l_hat / (l_hat - max M_diag) of
 # l_hat I - S_BB. The worst measured ratio over 2000 sweep cases is 1.5e-13.

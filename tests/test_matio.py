@@ -34,6 +34,24 @@ def test_binary_roundtrip_bit_exact(tmp_path, matrix):
     assert len(raw) == 8 + 16 + 8 * 35
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+@pytest.mark.parametrize("fmt", ["csv", "binary"])
+def test_empty_matrix_roundtrip(tmp_path, fmt, shape):
+    path = tmp_path / f"m.{fmt}"
+    getattr(matio, f"write_{fmt}")(path, np.empty(shape))
+    back = getattr(matio, f"read_{fmt}")(path)
+    assert back.shape == shape and back.dtype == np.float64
+    if fmt == "csv":
+        assert_same_bytes(np.empty(shape))
+
+
+def test_csv_empty_header_with_values(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("0,3\n1.0,2.0,3.0\n")
+    with pytest.raises(ValueError):
+        matio.read_csv(path)
+
+
 def test_binary_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 24)

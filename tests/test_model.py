@@ -19,7 +19,7 @@ from spikedcov.model import (
 )
 from spikedcov.rng import Stream
 
-from .oracles import law_values_reference
+from .oracles import law_values_reference, sequential
 
 LAWS = [
     EntryLaw.gaussian(),
@@ -62,7 +62,7 @@ def test_draw_is_written_in_place(law, one_span):
     # the bits of the allocating transforms, with at most a quarter of
     # the matrix in temporaries; one-span is a replicate's draw
     N, n, seed = 600, 1200, 11
-    want = law_values_reference(law, Stream(seed, "entries", law.label(), N, n), (N, n))
+    want = law_values_reference(law, sequential(seed, "entries", law.label(), N, n), (N, n))
     with cores.one_blas_thread() if one_span else contextlib.nullcontext():
         tracemalloc.start()
         try:

@@ -4,7 +4,7 @@ import pytest
 from spikedcov import cores, rng
 from spikedcov.rng import Stream, derive_key
 
-from .oracles import box_muller_reference
+from .oracles import box_muller_reference, philox_at, sequential
 
 
 def test_same_labels_same_stream():
@@ -47,13 +47,13 @@ def test_uniforms_in_unit_interval():
 @pytest.mark.parametrize("shape", [(), 1, 7, 8, (3, 7), (40, 51), (64, 64)])
 def test_normals_bit_identical_to_reference(shape):
     got = Stream(77, "bm", repr(shape)).normals(shape)
-    want = box_muller_reference(Stream(77, "bm", repr(shape)), shape)
+    want = box_muller_reference(sequential(77, "bm", repr(shape)), shape)
     assert got.shape == want.shape
     np.testing.assert_array_equal(got, want)
 
 
 def test_normals_continue_the_stream_like_the_reference():
-    a, b = Stream(78, "bm"), Stream(78, "bm")
+    a, b = Stream(78, "bm"), sequential(78, "bm")
     for shape in (5, (2, 3), 4):
         np.testing.assert_array_equal(a.normals(shape), box_muller_reference(b, shape))
 
@@ -79,8 +79,8 @@ def span_counts(monkeypatch):
 @pytest.mark.parametrize("drawn", range(6))
 @pytest.mark.parametrize("shape", [(), 1, 2, 5, 8, 13, (3, 7), (40, 51)])
 def test_split_normals_bit_identical_to_one_span(span_counts, drawn, shape):
-    a, b = Stream(79, "split", drawn), Stream(79, "split", drawn)
-    np.testing.assert_array_equal(a.uniforms(drawn), b.uniforms(drawn))
+    a, b = Stream(79, "split", drawn), sequential(79, "split", drawn)
+    np.testing.assert_array_equal(a.uniforms(drawn), b.random(drawn))
     got = a.normals(shape)
     want = box_muller_reference(b, shape)
     assert got.shape == want.shape
@@ -89,15 +89,15 @@ def test_split_normals_bit_identical_to_one_span(span_counts, drawn, shape):
     assert span_counts == [min(3, half)]
     # the stream continues where a serial draw leaves it
     np.testing.assert_array_equal(a.normals(9), box_muller_reference(b, 9))
-    np.testing.assert_array_equal(a.uniforms(3), b.uniforms(3))
+    np.testing.assert_array_equal(a.uniforms(3), b.random(3))
 
 
 def test_split_at_the_default_span(monkeypatch):
     monkeypatch.setenv("SPIKED_EIG_THREADS", "2")
     shape = (4 * rng._MIN_SPAN + 1, 1)
-    a, b = Stream(80, "split"), Stream(80, "split")
+    a, b = Stream(80, "split"), sequential(80, "split")
     np.testing.assert_array_equal(a.normals(shape), box_muller_reference(b, shape))
-    np.testing.assert_array_equal(a.uniforms(5), b.uniforms(5))
+    np.testing.assert_array_equal(a.uniforms(5), b.random(5))
 
 
 def test_draws_inside_a_fan_out_are_one_span(span_counts):
@@ -110,9 +110,31 @@ def test_draws_inside_a_fan_out_are_one_span(span_counts):
 @pytest.mark.parametrize("shape", [1, 7, 8, (3, 7), (40, 51)])
 def test_one_span_draw_in_blocks_bit_identical(span_counts, shape):
     # a replicate's draw: one span, transformed 3 pairs at a time
-    a, b = Stream(82, "blocks", repr(shape)), Stream(82, "blocks", repr(shape))
+    a, b = Stream(82, "blocks", repr(shape)), sequential(82, "blocks", repr(shape))
     with cores.one_blas_thread():
         got = a.normals(shape)
     np.testing.assert_array_equal(got, box_muller_reference(b, shape))
     assert span_counts == [1]
-    np.testing.assert_array_equal(a.uniforms(3), b.uniforms(3))
+    np.testing.assert_array_equal(a.uniforms(3), b.random(3))
+
+
+@pytest.mark.parametrize("offset", [0, 1, 2, 3, 4, 4097, 4098, 4099, 4 * 2**64 + 3])
+def test_window_at_any_offset_matches_the_state_reference(offset):
+    # every offset % 4 in one counter block, and a counter past 2^64,
+    # which spills into the second of Philox's four counter words
+    stream = Stream(83, "window")
+    got = stream.window(offset, np.empty(9))
+    np.testing.assert_array_equal(got, philox_at(stream.key, offset).random(9))
+    if offset < 5000:
+        np.testing.assert_array_equal(got, sequential(83, "window").random(offset + 9)[offset:])
+    assert stream.offset == 0
+
+
+def test_offset_counts_the_uniforms_drawn():
+    # a normal draw reads whole pairs, so an odd count reads one uniform more
+    stream = Stream(84, "offset")
+    stream.uniforms(3)
+    stream.normals(5)
+    stream.normals(())
+    stream.uniforms((2, 2))
+    assert stream.offset == 3 + 6 + 2 + 4
