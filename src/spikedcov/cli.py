@@ -194,7 +194,7 @@ def cmd_generate(args) -> int:
 
 def cmd_eigs(args) -> int:
     _, spec, seed = _instance(args)
-    X, _ = generate_data(spec, seed)
+    X = generate_data(spec, seed)[0]
     eig = sym_eigen(sample_covariance(X))
     manifest = Manifest(args.config, args.out, seed)
     manifest.save("eigenvalues.csv", matio.write_csv, eig.values[np.newaxis, :])

@@ -12,9 +12,9 @@ Dense eigen/SVD factorizations are delegated to LAPACK (Householder
 tridiagonalization paths) behind the contracts below. The replication
 harness needs only the top-M eigenpairs of a PSD Gram matrix and, for the
 trace centering, one resolvent trace of its bulk block at one point:
-``top_eigenpairs`` gets the former by certified subspace iteration,
-``bulk_trace`` the latter from a Cholesky factor of l_hat I - S_BB, without
-the bulk spectrum; see README.
+``top_eigenpairs`` gets the former by certified restarted block Krylov,
+from S or from its factor X; ``bulk_trace`` the latter from a Cholesky
+factor of l_hat I - S_BB, without the bulk spectrum; see README.
 """
 
 from __future__ import annotations
@@ -36,9 +36,12 @@ from .errors import (
 )
 from .rng import Stream
 
-# Block subspace iteration in top_eigenpairs: certificate and sweep cap.
-_SUBSPACE_TOL = 1e-12
-_SUBSPACE_SWEEPS = 64
+# Restarted block Krylov in top_eigenpairs: certificate, basis depth and
+# Ritz vectors kept at a restart (both in blocks), and the cap on products.
+_KRYLOV_TOL = 1e-12
+_KRYLOV_DEPTH = 4
+_KRYLOV_KEEP = 2
+_KRYLOV_PRODUCTS = 64
 # Rows of S per panel of sample_covariance; its temporaries are this many
 # rows of S. Against one syrk at 2000 x 4000 on one BLAS thread, 512-row
 # panels cost 5-7%, 256-row panels 14% and 128-row panels 18%.
@@ -135,36 +138,84 @@ def _start_block(N: int, k: int) -> np.ndarray:
     return block
 
 
-def top_eigenpairs(S: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Largest ``m`` eigenpairs (descending) of a PSD matrix, certified.
+def top_eigenpairs(A: np.ndarray, m: int, *, factor: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Largest ``m`` eigenpairs (descending) of a PSD matrix S, certified.
 
-    Block subspace iteration with Rayleigh-Ritz on ``m`` plus
-    ``max(m, 4)`` columns, started from a fixed-key Gaussian block. It
-    stops once every returned pair meets ||S v - theta v|| <= 1e-12 theta;
-    if ``_SUBSPACE_SWEEPS`` sweeps pass first, the dense ``sym_eigen``
-    answers instead. Same ordering and sign conventions as ``sym_eigen``.
-    The spikes sit far above the bulk edge, so the ratio lambda_{k+1} /
-    lambda_m that sets the rate is small and a few sweeps suffice.
+    A is S, or with ``factor`` the N x n matrix X of S = X X^T / n, applied
+    as (V^T X) X^T / n, so S is never formed. Restarted block Krylov (block
+    Lanczos with full reorthogonalisation) on blocks of ``max(m, 4)``
+    columns, from a fixed-key Gaussian start block: each new block is S
+    times the newest one, made orthogonal to the basis, and Rayleigh-Ritz
+    runs on the whole basis. At ``_KRYLOV_DEPTH`` blocks the basis restarts
+    from its top ``_KRYLOV_KEEP`` blocks of Ritz vectors. It returns once
+    every pair meets ||S v - theta v|| <= 1e-12 theta. Where the rounding of
+    the basis keeps that out of reach (a steep spectrum), it goes on by
+    subspace iteration from the top Ritz vectors. If ``_KRYLOV_PRODUCTS``
+    products pass first, the dense ``sym_eigen`` answers instead (with
+    ``factor``, on S formed over X's buffer: X is then scratch). Same
+    ordering and sign conventions as ``sym_eigen``.
     """
-    N = S.shape[0]
-    k = min(m + max(m, 4), N)
-    Y = S @ _start_block(N, k)
-    for _ in range(_SUBSPACE_SWEEPS):
-        Q = np.linalg.qr(Y)[0]
-        Y = S @ Q
-        theta, W = np.linalg.eigh(Q.T @ Y)
-        theta, W = theta[: -m - 1 : -1], W[:, : -m - 1 : -1]
-        vectors = Q @ W
-        residual = np.linalg.norm(Y @ W - vectors * theta, axis=0)
-        if np.all(residual <= _SUBSPACE_TOL * theta):
-            return theta.copy(), _fix_signs(vectors)
-    eig = sym_eigen(S)
+    N = A.shape[0]
+    b = min(max(m, 4), N)
+    width = min(_KRYLOV_DEPTH * b, N)
+    keep = min(_KRYLOV_KEEP * b, width - b)
+    # the basis and its products by S, column-contiguous: a block is one
+    # contiguous run of columns, and unused columns are never touched
+    Q = np.empty((N, width), order="F")
+    SQ = np.empty((N, width), order="F")
+    T = np.empty((width, width))  # Q^T S Q; eigh reads its lower triangle
+    Q[:, :b] = np.linalg.qr(_start_block(N, b))[0]
+    lo, hi = 0, b  # the newest block is Q[:, lo:hi]
+    polish = False
+    for _ in range(_KRYLOV_PRODUCTS):
+        V, SV = Q[:, lo:hi], SQ[:, lo:hi]
+        if factor:
+            np.matmul(V.T @ A, A.T, out=SV.T)
+            SV /= A.shape[1]
+        else:
+            np.matmul(V.T, A, out=SV.T)  # V^T S = (S V)^T
+        B = Q[:, :hi].T @ SV
+        T[:hi, lo:hi] = B
+        T[lo:hi, :hi] = B.T
+        theta, W = np.linalg.eigh(T[:hi, :hi])
+        theta, W = theta[::-1], W[:, ::-1]
+        # S Q - Q T is the newest block's part outside the basis, U R, so
+        # the residual of v = Q w is ||R w[lo:hi]||: check it outright only
+        # once that says every pair passes
+        U, R = np.linalg.qr(SV - Q[:, :hi] @ B)
+        bound = _KRYLOV_TOL * theta[:m]
+        if polish or np.all(np.linalg.norm(R @ W[lo:hi, :m], axis=0) <= bound):
+            vectors = Q[:, :hi] @ W[:, :m]
+            residual = np.linalg.norm(SQ[:, :hi] @ W[:, :m] - vectors * theta[:m], axis=0)
+            if np.all(residual <= bound):
+                return theta[:m].copy(), _fix_signs(vectors)
+            # the products carry the rounding of the whole basis, which a
+            # steep spectrum can lift above the bound: go on by subspace
+            # iteration from S times the top Ritz vectors
+            polish = True
+            Q[:, :b] = np.linalg.qr(SQ[:, :hi] @ W[:, :b])[0]
+            lo, hi = 0, b
+            continue
+        if hi == N or (hi + b > width and keep < m):
+            break  # the basis spans the space, or a restart cannot keep m pairs
+        if hi + b > width:
+            Q[:, :keep] = Q[:, :hi] @ W[:, :keep]
+            SQ[:, :keep] = SQ[:, :hi] @ W[:, :keep]
+            T[:keep, :keep] = np.diag(theta[:keep])
+            hi = keep
+        # block Gram-Schmidt, second pass and QR, against the basis that
+        # stays: it keeps the new block orthogonal to it where U is nearly
+        # inside the old basis, or has more columns than the space left
+        U -= Q[:, :hi] @ (Q[:, :hi].T @ U)
+        lo, hi = hi, hi + b
+        Q[:, lo:hi] = np.linalg.qr(U)[0]
+    eig = sym_eigen(sample_covariance(A) if factor else A)
     return eig.values[:m].copy(), eig.vectors[:, :m].copy()
 
 
-def top_eigenvalues(S: np.ndarray, m: int) -> np.ndarray:
-    """The values of ``top_eigenpairs(S, m)``."""
-    return top_eigenpairs(S, m)[0]
+def top_eigenvalues(A: np.ndarray, m: int, *, factor: bool = False) -> np.ndarray:
+    """The values of ``top_eigenpairs(A, m, factor=factor)``."""
+    return top_eigenpairs(A, m, factor=factor)[0]
 
 
 @functools.cache

@@ -145,6 +145,10 @@ def read_csv(path) -> np.ndarray:
             if fh.read().strip():
                 raise ValueError(f"header says {(rows, cols)} but the payload holds values")
             return np.empty((rows, cols))
+        start = fh.tell()  # loadtxt only warns on a payload with no values
+        if not any(line.split("#", 1)[0].strip() for line in iter(fh.readline, "")):
+            raise ValueError(f"header says {(rows, cols)} but the payload holds no values")
+        fh.seek(start)
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.shape != (rows, cols):
         raise ValueError(f"header says {(rows, cols)} but payload is {data.shape}")

@@ -178,20 +178,22 @@ def simulate_instance(
 ) -> _Instance:
     """Top-M eigenstructure of one replicate, in the identity frame.
 
-    One Gram product S feeds the certified top-M solver and, when the
-    trace centering needs it (``trace_nu`` given), the bulk trace of its
-    S_BB block at l_hat_{trace_nu}. It runs on one BLAS thread, so its bits
-    depend on (spec, seed) alone.
+    Only the trace centering (``trace_nu`` given) forms the Gram product S:
+    the bulk trace of its S_BB block at l_hat_{trace_nu} needs it, and the
+    certified top-M solver runs on it too. Every other replicate solves on
+    the draw X itself, S = X X^T / n, and never forms S. It runs on one
+    BLAS thread, so its bits depend on (spec, seed) alone.
     """
     with one_blas_thread():
         z = sample_entry_matrix(spec.N, spec.n, spec.law, seed)
         z[: spec.M, :] *= spec.sqrt_lambda()[:, np.newaxis]
-        S = sample_covariance(z)
+        factor = not trace_nu
+        A = z if factor else sample_covariance(z)
         if need_vectors:
-            l_hat, vectors = top_eigenpairs(S, spec.M)
+            l_hat, vectors = top_eigenpairs(A, spec.M, factor=factor)
         else:
-            l_hat, vectors = top_eigenvalues(S, spec.M), None
-        trace = bulk_trace(S, spec.M, float(l_hat[trace_nu - 1])) if trace_nu else None
+            l_hat, vectors = top_eigenvalues(A, spec.M, factor=factor), None
+        trace = bulk_trace(A, spec.M, float(l_hat[trace_nu - 1])) if trace_nu else None
     return _Instance(l_hat=l_hat, vectors=vectors, bulk_trace=trace)
 
 

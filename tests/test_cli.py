@@ -319,7 +319,7 @@ nu = 2
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_consistency_with_every_replicate_flagged(self, tmp_path, desk_config, monkeypatch):
-        def fault(S, m):
+        def fault(A, m, **kwargs):
             raise NoConvergence("injected fault")
 
         monkeypatch.setattr(montecarlo, "top_eigenpairs", fault)

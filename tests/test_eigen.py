@@ -94,9 +94,12 @@ class TestTopEigenpairs:
         np.testing.assert_array_equal(top_eigenvalues(A, 1), vals)
 
     def test_slow_gap_takes_dense_fallback(self, monkeypatch):
-        # lambda_m / lambda_{k+1} = 1 + 1e-3: the sweep cap runs out first
+        # lambda_m / lambda_{m+1} = 1 + 1e-3, and the bulk crowds up below
+        # lambda_{m+1} (quadratic spacing), so the block's spare column does
+        # not take in the gap: certifying would take ~600 products, and the
+        # cap of 64 runs out first
         m = 3
-        A = psd_with_spectrum([10.0, 5.0, 2.002] + [2.0] * 57, 41)
+        A = psd_with_spectrum([10.0, 5.0, 2.002] + list(2.0 - 1.9 * np.linspace(0, 1, 57) ** 2), 41)
         calls = []
 
         def dense(S):
@@ -137,9 +140,9 @@ TOP_M_LAWS = {
 }
 
 
-def assert_matches_dense(S, m, vals, vecs):
-    """(vals, vecs) are the top m pairs of sym_eigen(S), tied eigenspaces as subspaces."""
-    ref = sym_eigen(S)
+def assert_matches_dense(S, m, vals, vecs, ref=None):
+    """(vals, vecs) are the top m pairs of ``ref = sym_eigen(S)``, tied eigenspaces as subspaces."""
+    ref = sym_eigen(S) if ref is None else ref
     top = ref.values[0]
     np.testing.assert_allclose(vals, ref.values[:m], rtol=0, atol=TOP_M_RTOL * top)
     np.testing.assert_allclose(vecs.T @ vecs, np.eye(m), rtol=0, atol=1e-12)
@@ -181,7 +184,8 @@ class TestTopEigenpairsAgainstDense:
         else:
             spikes = list(n**0.9 * ratio ** np.arange(M)[::-1])
         spec = SpikedModelSpec(n=n, N=N, M=M, spikes=spikes, law=TOP_M_LAWS[law])
-        S = sample_covariance(generate_data(spec, seed)[0])
+        X = generate_data(spec, seed)[0]
+        S = sample_covariance(X.copy())
         if tie:
             # tie the top two sample eigenvalues, and the M-th to the one
             # below it, so a tied eigenspace straddles the cut at M
@@ -189,22 +193,45 @@ class TestTopEigenpairsAgainstDense:
             values = ref.values.copy()
             values[1] = values[0]
             values[M] = values[M - 1]
+            X = ref.vectors * np.sqrt(np.maximum(values, 0.0) * N)  # S = X X^T / N
             S = (ref.vectors * values) @ ref.vectors.T
             S = (S + S.T) / 2.0
+        ref = sym_eigen(S)
         vals, vecs = top_eigenpairs(S, M)
-        assert_matches_dense(S, M, vals, vecs)
+        assert_matches_dense(S, M, vals, vecs, ref)
+        vals, vecs = top_eigenpairs(X, M, factor=True)
+        assert_matches_dense(S, M, vals, vecs, ref)
+
+    @pytest.mark.parametrize("N, M", [(1000, 40), (2000, 100)])
+    def test_many_spikes_are_certified(self, monkeypatch, N, M):
+        # the paper's regime of many spikes, n = 2N, spikes (M - k) / M n^0.9:
+        # both inputs certify without the dense path and match it
+        n = 2 * N
+        spikes = [max(1.0, (M - k) / M * n**0.9) for k in range(M)]
+        spec = SpikedModelSpec(n=n, N=N, M=M, spikes=spikes, law=EntryLaw.gaussian())
+        X = generate_data(spec, 23)[0]
+        S = sample_covariance(X.copy())
+        ref = sym_eigen(S)
+        monkeypatch.setattr(eigen_module, "sym_eigen", None)  # must not be called
+        for A, factor in ((S, False), (X, True)):
+            vals, vecs = top_eigenpairs(A, M, factor=factor)
+            assert np.all(np.linalg.norm(S @ vecs - vecs * vals, axis=0) <= 1e-12 * vals)
+            assert_matches_dense(S, M, vals, vecs, ref)
 
     @pytest.mark.parametrize("N, n", [(60, 40), (40, 120)])
     def test_injected_slow_gap_is_answered_by_the_dense_path(self, monkeypatch, N, n):
         # a drawn sample covariance with its bulk lifted to within 1e-3 of
-        # the M-th eigenvalue: the sweep cap runs out before the certificate
+        # the M-th eigenvalue and crowded up to its top (quadratic spacing
+        # down to the drawn bottom): certifying would take ~300-650
+        # products, so the cap runs out first; on both inputs
         M = 3
         spec = SpikedModelSpec(n=n, N=N, M=M, spikes=[40.0, 20.0, 10.0], law=EntryLaw.gaussian())
         ref = sym_eigen(sample_covariance(generate_data(spec, 17)[0]))
         values = ref.values.copy()
-        values[M:] = values[M - 1] / (1.0 + 1e-3)
-        S = (ref.vectors * values) @ ref.vectors.T
-        S = (S + S.T) / 2.0
+        top = values[M - 1] / (1.0 + 1e-3)
+        values[M:] = top - (top - max(values[-1], 0.0)) * np.linspace(0, 1, N - M) ** 2
+        X = ref.vectors * np.sqrt(values * N)  # S = X X^T / N
+        S = sample_covariance(X.copy())
         calls = []
 
         def dense(A):
@@ -212,11 +239,13 @@ class TestTopEigenpairsAgainstDense:
             return sym_eigen(A)
 
         monkeypatch.setattr(eigen_module, "sym_eigen", dense)
-        vals, vecs = top_eigenpairs(S, M)
-        assert calls == [S.shape]
         want = sym_eigen(S)
-        np.testing.assert_array_equal(vals, want.values[:M])
-        np.testing.assert_array_equal(vecs, want.vectors[:, :M])
+        for A, factor in ((S, False), (X, True)):
+            calls.clear()
+            vals, vecs = top_eigenpairs(A, M, factor=factor)
+            assert calls == [S.shape]
+            np.testing.assert_array_equal(vals, want.values[:M])
+            np.testing.assert_array_equal(vecs, want.vectors[:, :M])
 
 
 # bulk_trace against the sum over block_decompose's spectrum: relative
@@ -290,10 +319,11 @@ class TestBulkSpectrum:
         seed=st.integers(min_value=0, max_value=2**31),
     )
     def test_property_matches_block_decompose_at_every_nu(self, N, n_over_N, m_share, law, seed):
-        # p <= n and p > n, M from 1 to N / 4, spikes c * n^0.9 as in the README
+        # p <= n and p > n, M from 1 to N / 4, spikes c * n^0.9 as in the
+        # README (at least 1)
         n = max(6, round(n_over_N * N))
         M = min(1 + int(m_share * (N // 4 - 1)), n - 1)
-        spikes = [f"{(M - k) / M:g}*n^0.9" for k in range(M)]
+        spikes = [max(1.0, (M - k) / M * n**0.9) for k in range(M)]
         spec = SpikedModelSpec(n=n, N=N, M=M, spikes=spikes, law=BULK_TRACE_LAWS[law])
         X, Z = generate_data(spec, seed)
         S = sample_covariance(X)

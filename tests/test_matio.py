@@ -52,6 +52,15 @@ def test_csv_empty_header_with_values(tmp_path):
         matio.read_csv(path)
 
 
+@pytest.mark.parametrize("payload", ["", "\n\n", "  \n# no values\n"])
+def test_csv_header_without_rows(tmp_path, payload):
+    # a ValueError, not loadtxt's "input contained no data" UserWarning
+    path = tmp_path / "bad.csv"
+    path.write_text("2,3\n" + payload)
+    with pytest.raises(ValueError, match="no values"):
+        matio.read_csv(path)
+
+
 def test_binary_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 24)
