@@ -148,12 +148,11 @@ def top_eigenpairs(A: np.ndarray, m: int, *, factor: bool = False) -> tuple[np.n
     times the newest one, made orthogonal to the basis, and Rayleigh-Ritz
     runs on the whole basis. At ``_KRYLOV_DEPTH`` blocks the basis restarts
     from its top ``_KRYLOV_KEEP`` blocks of Ritz vectors. It returns once
-    every pair meets ||S v - theta v|| <= 1e-12 theta. Where the rounding of
-    the basis keeps that out of reach (a steep spectrum), it goes on by
-    subspace iteration from the top Ritz vectors. If ``_KRYLOV_PRODUCTS``
-    products pass first, the dense ``sym_eigen`` answers instead (with
-    ``factor``, on S formed over X's buffer: X is then scratch). Same
-    ordering and sign conventions as ``sym_eigen``.
+    every pair meets ||S v - theta v|| <= 1e-12 theta. If
+    ``_KRYLOV_PRODUCTS`` products pass first, or the basis spans the space,
+    the dense ``sym_eigen`` answers instead (with ``factor``, on S formed
+    over X's buffer: X is then scratch). Same ordering and sign conventions
+    as ``sym_eigen``.
     """
     N = A.shape[0]
     b = min(max(m, 4), N)
@@ -166,7 +165,6 @@ def top_eigenpairs(A: np.ndarray, m: int, *, factor: bool = False) -> tuple[np.n
     T = np.empty((width, width))  # Q^T S Q; eigh reads its lower triangle
     Q[:, :b] = np.linalg.qr(_start_block(N, b))[0]
     lo, hi = 0, b  # the newest block is Q[:, lo:hi]
-    polish = False
     for _ in range(_KRYLOV_PRODUCTS):
         V, SV = Q[:, lo:hi], SQ[:, lo:hi]
         if factor:
@@ -184,18 +182,11 @@ def top_eigenpairs(A: np.ndarray, m: int, *, factor: bool = False) -> tuple[np.n
         # once that says every pair passes
         U, R = np.linalg.qr(SV - Q[:, :hi] @ B)
         bound = _KRYLOV_TOL * theta[:m]
-        if polish or np.all(np.linalg.norm(R @ W[lo:hi, :m], axis=0) <= bound):
+        if np.all(np.linalg.norm(R @ W[lo:hi, :m], axis=0) <= bound):
             vectors = Q[:, :hi] @ W[:, :m]
             residual = np.linalg.norm(SQ[:, :hi] @ W[:, :m] - vectors * theta[:m], axis=0)
             if np.all(residual <= bound):
                 return theta[:m].copy(), _fix_signs(vectors)
-            # the products carry the rounding of the whole basis, which a
-            # steep spectrum can lift above the bound: go on by subspace
-            # iteration from S times the top Ritz vectors
-            polish = True
-            Q[:, :b] = np.linalg.qr(SQ[:, :hi] @ W[:, :b])[0]
-            lo, hi = 0, b
-            continue
         if hi == N or (hi + b > width and keep < m):
             break  # the basis spans the space, or a restart cannot keep m pairs
         if hi + b > width:
