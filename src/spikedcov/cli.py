@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, centering, matio, mp
+from . import __version__, centering, matio, model, mp
 from .config import build_experiment, build_spec, load_config, parse_law
 from .eigen import alignment, block_decompose, sample_covariance, sym_eigen, verify_master_identities
 from .errors import ConfigInvalid, NumericPrecondition, SpikedCovError
@@ -242,7 +242,7 @@ def cmd_mp_table(args) -> int:
 def cmd_check_identities(args) -> int:
     parser, spec, seed = _instance(args)
     nu = args.nu if args.nu is not None else _file_int(parser, "nu")
-    _, Z = generate_data(spec, seed)
+    Z = model.sample_entry_matrix(spec.N, spec.n, spec.law, seed)
     bd = block_decompose(Z, spec.spikes)
     # identity-frame covariance: the basis is rotated out so the A/B split is literal
     Y = Z.copy()

@@ -42,10 +42,6 @@ _KRYLOV_TOL = 1e-12
 _KRYLOV_DEPTH = 4
 _KRYLOV_KEEP = 2
 _KRYLOV_PRODUCTS = 64
-# Rows of S per panel of sample_covariance; its temporaries are this many
-# rows of S. Against one syrk at 2000 x 4000 on one BLAS thread, 512-row
-# panels cost 5-7%, 256-row panels 14% and 128-row panels 18%.
-_GRAM_PANEL = 512
 
 
 @dataclass
@@ -151,8 +147,7 @@ def top_eigenpairs(A: np.ndarray, m: int, *, factor: bool = False) -> tuple[np.n
     every pair meets ||S v - theta v|| <= 1e-12 theta. If
     ``_KRYLOV_PRODUCTS`` products pass first, or the basis spans the space,
     the dense ``sym_eigen`` answers instead (with ``factor``, on S formed
-    over X's buffer: X is then scratch). Same ordering and sign conventions
-    as ``sym_eigen``.
+    from X). Same ordering and sign conventions as ``sym_eigen``.
     """
     N = A.shape[0]
     b = min(max(m, 4), N)
@@ -263,34 +258,15 @@ def bulk_trace(S: np.ndarray, M: int, l_hat: float) -> float:
 
 
 def sample_covariance(X: np.ndarray) -> np.ndarray:
-    """(1/n) X X^T, exactly symmetric, written over X's own buffer.
+    """(1/n) X X^T, exactly symmetric; X is left unchanged.
 
-    X is scratch: its contents are undefined after the call. When n >= N
-    and X is a writeable C-contiguous float64 array, S is returned as a
-    C-contiguous view of X's first N * N values, so a replicate holds one
-    N x n buffer; otherwise S is a new N x N array.
-
-    Row panels I = [i0, i1) of ``_GRAM_PANEL`` rows go down S. A panel's
-    diagonal block is ``X_I @ X_I.T``, which numpy computes as one
-    triangle (syrk) and mirrors, and the rest of its row is one gemm
-    against the rows below it; both are divided by n into rows I of S,
-    which lie within the first i1 rows of X (n >= N), rows no later panel
-    reads. Its lower part is mirrored from the rows above. At N <=
-    _GRAM_PANEL that is the single syrk of ``X @ X.T``, so S is
-    bit-identical to ``(X @ X.T) / n``. The temporaries hold at most
-    ``_GRAM_PANEL`` rows of S.
+    On a C-contiguous copy of X, ``X @ X.T`` is one syrk, which computes
+    one triangle and mirrors it; a strided X would get a gemm instead,
+    which need not round symmetrically.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
-    N, n = X.shape
-    in_place = n >= N and X.flags.writeable
-    S = X.reshape(-1)[: N * N].reshape(N, N) if in_place else np.empty((N, N))
-    for i0 in range(0, N, _GRAM_PANEL):
-        i1 = min(i0 + _GRAM_PANEL, N)
-        X_I = X[i0:i1]
-        diag, right = X_I @ X_I.T, X_I @ X[i1:].T
-        np.divide(diag, n, out=S[i0:i1, i0:i1])
-        np.divide(right, n, out=S[i0:i1, i1:])
-        S[i0:i1, :i0] = S[:i0, i0:i1].T
+    S = X @ X.T
+    S /= X.shape[1]
     return S
 
 
@@ -327,10 +303,8 @@ def block_decompose(Z: np.ndarray, spikes) -> BlockDecomposition:
     sqrt_l = np.sqrt(spikes)
     XA = sqrt_l[:, np.newaxis] * Z_A
     S_AA = (XA @ XA.T) / n
-    S_AA = (S_AA + S_AA.T) / 2.0
     S_AB = (XA @ Z_B.T) / n
     S_BB = B @ B.T
-    S_BB = (S_BB + S_BB.T) / 2.0
     T = (H.T @ Z_A.T) / np.sqrt(n)
     return BlockDecomposition(
         S_AA=S_AA, S_AB=S_AB, S_BB=S_BB, M_diag=M_diag, V=V, H=H, T=T,

@@ -180,15 +180,17 @@ def simulate_instance(
 
     Only the trace centering (``trace_nu`` given) forms the Gram product S:
     the bulk trace of its S_BB block at l_hat_{trace_nu} needs it, and the
-    certified top-M solver runs on it too. Every other replicate solves on
-    the draw X itself, S = X X^T / n, and never forms S. It runs on one
-    BLAS thread, so its bits depend on (spec, seed) alone.
+    certified top-M solver runs on it too, and the draw is dropped once S
+    exists. Every other replicate solves on the draw X itself,
+    S = X X^T / n, and never forms S. It runs on one BLAS thread, so its
+    bits depend on (spec, seed) alone.
     """
     with one_blas_thread():
-        z = sample_entry_matrix(spec.N, spec.n, spec.law, seed)
-        z[: spec.M, :] *= spec.sqrt_lambda()[:, np.newaxis]
+        A = sample_entry_matrix(spec.N, spec.n, spec.law, seed)
+        A[: spec.M, :] *= spec.sqrt_lambda()[:, np.newaxis]
         factor = not trace_nu
-        A = z if factor else sample_covariance(z)
+        if not factor:
+            A = sample_covariance(A)
         if need_vectors:
             l_hat, vectors = top_eigenpairs(A, spec.M, factor=factor)
         else:

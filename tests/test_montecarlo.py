@@ -557,8 +557,8 @@ class TestKernelAgainstDenseReference:
             assert inst.bulk_trace == pytest.approx(want, rel=KERNEL_RTOL, abs=0.0)
 
     def test_multi_panel_instance_matches_dense_path(self, gaussian):
-        # N = 600 > eigen._GRAM_PANEL, so the kernel's Gram takes two row
-        # panels; the reference is one product, not sample_covariance
+        # N = 600, larger than any Gram a workload forms; the reference is
+        # one product, not sample_covariance
         spikes = (1200**0.8) * np.array([8.0, 4.0, 2.0, 1.0])
         spec = SpikedModelSpec(n=1200, N=600, M=4, spikes=spikes, law=gaussian)
         for nu in range(1, 5):
@@ -600,6 +600,29 @@ class TestGramOnlyForTheTrace:
         cfg = quick_config(quick_spec, statistic="clt_mixed", x_mode="root", replicates=1)
         assert run_experiment(cfg).flagged == 0
         assert calls == [(quick_spec.N, quick_spec.n)]
+
+    def test_trace_replicate_holds_the_draw_and_s_only_during_the_gram(self, monkeypatch, gaussian):
+        # clt_bulk size: the draw and S during the Gram, then S without the draw
+        n, N = 1000, 500
+        spec = SpikedModelSpec(n=n, N=N, M=3, spikes=(n**0.9) * np.array([4.0, 2.0, 1.0]), law=gaussian)
+        simulate_instance(spec, 1, False, 1)  # the cached Krylov start block is not the replicate's
+        held = []
+        real = montecarlo.bulk_trace
+
+        def spy(S, M, l_hat):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return real(S, M, l_hat)
+
+        monkeypatch.setattr(montecarlo, "bulk_trace", spy)
+        margin = 1 << 16
+        tracemalloc.start()
+        try:
+            simulate_instance(spec, 7, False, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (N * n + N * N) * 8 + margin
+        assert held and held[0] <= N * N * 8 + margin
 
 
 class TestReplicateFaults:

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from spikedcov import cores, rng
+from spikedcov.cli import main
 from spikedcov.rng import Stream, derive_key
 
 from .oracles import box_muller_reference, philox_at, sequential
@@ -138,3 +141,51 @@ def test_offset_counts_the_uniforms_drawn():
     stream.normals(())
     stream.uniforms((2, 2))
     assert stream.offset == 3 + 6 + 2 + 4
+
+
+# Frozen SHA-256 digests of draws and of generated files. They pin the bits
+# against every change, including in the numpy routines the streams rest on
+# (Philox, Generator.random, np.log, np.sqrt, np.sin, np.cos); see README,
+# "Reproducibility model".
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_frozen_digest_of_a_one_span_draw():
+    z = Stream(2026, "digest", "one-span").normals((37, 53))
+    assert digest(z.tobytes()) == "683f3bbb93ec2394a2da79e05d493109db7f1e8b0906005653c0f12d4c309a31"
+
+
+def test_frozen_digest_of_a_split_draw(monkeypatch):
+    monkeypatch.setenv("SPIKED_EIG_THREADS", "2")
+    spans = []
+    fan_out = cores.fan_out
+
+    def spy(fn, items, workers=None):
+        items = list(items)
+        spans.append(len(items))
+        return fan_out(fn, items, workers)
+
+    monkeypatch.setattr(cores, "fan_out", spy)
+    z = Stream(2026, "digest", "split").normals(4 * 2**15 + 3)  # 2 * 2^15 + 2 pairs
+    assert spans == [2]
+    assert digest(z.tobytes()) == "a76759e19cd863afb35dde4be031cbab88f82ea43f2adf8ef31a0e1a0a0a112b"
+
+
+def test_frozen_digest_of_uniforms_after_an_odd_offset():
+    stream = Stream(2026, "digest", "uniforms")
+    stream.uniforms(3)
+    u = stream.uniforms(11)
+    assert digest(u.tobytes()) == "f1baf200dbfaa4d3f0f852b053031b559df097e006c29fbbeee81fb75cfe12ca"
+
+
+def test_frozen_digests_of_generated_files(tmp_path):
+    cfg = tmp_path / "g.ini"
+    cfg.write_text(
+        "[model]\nn = 12\nN = 9\nM = 2\nspikes = 20, 6\nlaw = gaussian\n\n"
+        "[experiment]\nmaster_seed = 11\nnu = 1\n"
+    )
+    out = tmp_path / "out"
+    assert main(["generate", "--config", str(cfg), "--out", str(out), "--with-z"]) == 0
+    assert digest((out / "X.bin").read_bytes()) == "7b8add3a5effe3a1fd55be255d182cc29f1314caebbce0ac3da82802a0f6f77a"
+    assert digest((out / "Z.bin").read_bytes()) == "df952b66a3fd484c17a51ea92971f183184c104952585a6e1fb5c30c04b6579f"
