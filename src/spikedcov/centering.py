@@ -15,9 +15,9 @@ three scalar polynomials a, b, c are read off Mnu, and
                                            Q = sum b_i y^i.
 
 The truncation order is s = floor(8 ln n / ln(n/M)). The solver evaluates F
-in this factored form (degree 2s in y); ``compose_O`` gives the paper's
-expansion F(y) = Obar + sum_{1 <= j <= 2 s^2 + 2s} Obar_j y^j, whose
-coefficients overflow long before the factored ones as M grows.
+in this factored form (degree 2s in y), never the paper's expansion
+F(y) = Obar + sum_{1 <= j <= 2 s^2 + 2s} Obar_j y^j, whose coefficients
+overflow long before the factored ones as M grows.
 """
 
 from __future__ import annotations
@@ -124,29 +124,6 @@ def abc_coefficients(poly: np.ndarray, spikes, nu: int, n: int):
     return a, b, c
 
 
-def compose_O(a, b, c, s: int) -> tuple[float, np.ndarray]:
-    """Expand sum_{0 <= j <= s} P(z) Q(z)^j into (Obar, Obar_j).
-
-    P = sum (2 a_i + b_i + c_i) z^i and Q = sum b_i z^i, both of degree at
-    most 2s, so the expansion has degree at most 2 s^2 + 2s (enforced cap).
-    Returns the constant term and the coefficient vector indexed 1..2s^2+2s.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    P = 2.0 * a + b + c
-    max_deg = 2 * s * s + 2 * s
-    total = np.zeros(max_deg + 1)
-    qpow = np.zeros(max_deg + 1)
-    qpow[0] = 1.0
-    for j in range(s + 1):
-        term = np.convolve(P, qpow)[: max_deg + 1]
-        total[: len(term)] += term
-        if j < s:
-            qpow = np.convolve(qpow, b)[: max_deg + 1]
-    return float(total[0]), total[1:]
-
-
 @dataclass
 class PolynomialCoefficients:
     """The scalar polynomials a, b, c of the x map, with its truncation order s."""
@@ -157,15 +134,14 @@ class PolynomialCoefficients:
     c: np.ndarray
 
 
-def polynomial_coefficients(spikes, nu: int, n: int, s: int | None = None) -> PolynomialCoefficients:
-    """Full pipeline from spikes to (a, b, c); M = 1 gives all zeros.
+def polynomial_coefficients(spikes, nu: int, n: int) -> PolynomialCoefficients:
+    """Full pipeline from spikes to (a, b, c) at s = truncation_order(n, M); M = 1 gives all zeros.
 
     Overflow is left to the solver, which reports non-finite coefficients as
     NoRoot, so it is not warned about here.
     """
     ls = np.atleast_1d(np.asarray(spikes, dtype=np.float64))
-    if s is None:
-        s = truncation_order(n, len(ls))
+    s = truncation_order(n, len(ls))
     with np.errstate(over="ignore", invalid="ignore"):
         poly = matrix_polynomial_Mnu(ls, nu, n, s)
         a, b, c = abc_coefficients(poly, ls, nu, n)

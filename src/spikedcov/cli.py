@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__, centering, matio, model, mp
-from .config import build_experiment, build_spec, load_config, parse_law
+from .config import build_experiment, build_spec, experiment_value, load_config, parse_law
 from .eigen import alignment, block_decompose, sample_covariance, sym_eigen, verify_master_identities
 from .errors import ConfigInvalid, NumericPrecondition, SpikedCovError
 from .model import generate_data
@@ -132,22 +132,11 @@ def _require_positive(**values) -> None:
             raise ConfigInvalid(f"--{name.replace('_', '-')} must be finite and > 0, got {value}")
 
 
-def _file_int(parser, key) -> int:
-    """``[experiment] key`` of a config file as an integer; 0 when absent or empty."""
-    sec = parser["experiment"] if "experiment" in parser else {}
-    if not sec.get(key):
-        return 0
-    try:
-        return int(sec[key])
-    except ValueError:
-        raise ConfigInvalid(f"[experiment] {key} = {sec[key]!r} is not an integer") from None
-
-
 def _instance(args):
     """Config file, model spec and seed (flag > file > 0) of a one-instance command."""
     parser = load_config(args.config)
     spec = build_spec(parser)
-    seed = args.seed if args.seed is not None else _file_int(parser, "master_seed")
+    seed = args.seed if args.seed is not None else experiment_value(parser, "master_seed", int, 0)
     return parser, spec, seed
 
 
@@ -240,8 +229,12 @@ def cmd_mp_table(args) -> int:
 
 
 def cmd_check_identities(args) -> int:
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ConfigInvalid(f"--tol must be finite and >= 0, got {args.tol}")
+    if args.series_terms < 0:
+        raise ConfigInvalid(f"--series-terms must be >= 0, got {args.series_terms}")
     parser, spec, seed = _instance(args)
-    nu = args.nu if args.nu is not None else _file_int(parser, "nu")
+    nu = args.nu if args.nu is not None else experiment_value(parser, "nu", int, 0)
     Z = model.sample_entry_matrix(spec.N, spec.n, spec.law, seed)
     bd = block_decompose(Z, spec.spikes)
     # identity-frame covariance: the basis is rotated out so the A/B split is literal

@@ -21,6 +21,7 @@ One INI-style file per experiment with two sections::
     eps0 = 0.1
 
 Command-line flags override file values; precedence is flag > file > default.
+A key left blank (``master_seed =``) counts as absent and takes its default.
 The statistic must belong to the command that runs it (clt_mixed,
 clt_statistical, clt_oracle; eigvec_A/B/C1/C2; consistency), or the
 command stops with a config error.
@@ -98,33 +99,38 @@ def build_spec(parser: configparser.ConfigParser) -> SpikedModelSpec:
     )
 
 
+def experiment_value(parser: configparser.ConfigParser, key: str, cast, default):
+    """``[experiment] key`` read by ``cast``; ``default`` when the key is absent or blank."""
+    sec = parser["experiment"] if "experiment" in parser else {}
+    raw = sec.get(key, "")
+    if not raw:
+        return default
+    if cast is bool:
+        return raw.lower() in ("1", "true", "yes", "on")
+    try:
+        return cast(raw)
+    except ValueError:
+        raise ConfigInvalid(f"[experiment] {key} = {raw!r} is not a valid {cast.__name__}") from None
+
+
 def build_experiment(parser: configparser.ConfigParser, **overrides) -> ExperimentConfig:
     spec = build_spec(parser)
-    sec = parser["experiment"] if "experiment" in parser else {}
 
     def pick(key, default, cast):
-        if key in overrides and overrides[key] is not None:
+        if overrides.get(key) is not None:
             return overrides[key]
-        if hasattr(sec, "get") and sec.get(key) is not None:
-            raw = sec.get(key)
-            if cast is bool:
-                return str(raw).strip().lower() in ("1", "true", "yes", "on")
-            return cast(raw)
-        return default
+        return experiment_value(parser, key, cast, default)
 
-    try:
-        config = ExperimentConfig(
-            spec=spec,
-            nu=pick("nu", 1, int),
-            replicates=pick("replicates", 1, int),
-            master_seed=pick("master_seed", 0, int),
-            statistic=pick("statistic", "clt_oracle", str),
-            x_mode=pick("x_mode", "auto", str),
-            empirical=pick("empirical", False, bool),
-            eps0=pick("eps0", 0.1, float),
-            workers=overrides.get("workers"),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigInvalid(f"bad [experiment] section: {exc}") from exc
+    config = ExperimentConfig(
+        spec=spec,
+        nu=pick("nu", 1, int),
+        replicates=pick("replicates", 1, int),
+        master_seed=pick("master_seed", 0, int),
+        statistic=pick("statistic", "clt_oracle", str),
+        x_mode=pick("x_mode", "auto", str),
+        empirical=pick("empirical", False, bool),
+        eps0=pick("eps0", 0.1, float),
+        workers=overrides.get("workers"),
+    )
     config.validate()
     return config

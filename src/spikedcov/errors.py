@@ -61,20 +61,12 @@ class InsideBulk(NumericPrecondition):
     """Stieltjes transform evaluated at a point not right of the bulk."""
 
 
-class InsideSpectrum(NumericPrecondition):
-    """Empirical Stieltjes transform evaluated inside the spectrum."""
-
-
 class NoRoot(NumericPrecondition):
     """Root solver found no certified root (no convergence or non-finite map)."""
 
 
 class SeriesDiverges(NumericPrecondition):
     """Series expansion attempted outside its convergence region."""
-
-
-class TooLarge(SpikedCovError):
-    """Combinatorial computation exceeds its configured caps."""
 
 
 class IndexOutOfRange(SpikedCovError):

@@ -73,6 +73,8 @@ class ExperimentConfig:
             raise ConfigInvalid(f"x_mode {self.x_mode!r}: want root, iter:<k0 >= 1>, zero or auto")
         if self.workers is None:
             default_workers()  # a malformed SPIKED_EIG_THREADS fails here, before any replicate
+        elif self.workers < 1:
+            raise ConfigInvalid(f"need at least one worker, got {self.workers}")
         if self.statistic in CLT_STATISTICS and not self.spec.law.eligible_for_clt():
             raise ConfigInvalid(
                 f"law {self.spec.law.label()} has E[z^4] = {self.spec.law.fourth_moment:g} "

@@ -1,10 +1,9 @@
-"""Marchenko-Pastur density and Stieltjes transforms (real axis only).
+"""The Marchenko-Pastur Stieltjes transform (real axis only).
 
 The closed form m_gamma(z) = (z + gamma - 1 - sqrt((z - gamma + 1)^2 - 4z))
 / (2 gamma z) is the Stieltjes transform of the MP law with ratio gamma,
 valid for real z strictly right of the bulk edge b = (1 + sqrt(gamma))^2.
-The spike forward map l -> l (1 + gamma / (l - 1)) and its inversion
-identity m_gamma(lbar) = l / ((l - 1) lbar) drive the oracle centering.
+``spikedcov mp`` tabulates it with the defect of its defining quadratic.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsideBulk, InsideSpectrum, NotInvertible, SpikeAtOne
+from .errors import InsideBulk
 
 
 @dataclass(frozen=True)
@@ -24,17 +23,6 @@ class MPParams:
     def edges(self) -> tuple[float, float]:
         s = np.sqrt(self.gamma)
         return ((1.0 - s) ** 2, (1.0 + s) ** 2)
-
-
-def mp_density(x, gamma: float):
-    """MP density sqrt((b-x)(x-a)) / (2 pi gamma x) on [a, b], 0 outside."""
-    a, b = MPParams(gamma).edges
-    x = np.asarray(x, dtype=np.float64)
-    inside = (x >= a) & (x <= b) & (x > 0.0)
-    out = np.zeros_like(x)
-    xs = x[inside]
-    out[inside] = np.sqrt((b - xs) * (xs - a)) / (2.0 * np.pi * gamma * xs)
-    return out if out.ndim else float(out)
 
 
 def mp_stieltjes(z: float, gamma: float) -> float:
@@ -58,34 +46,3 @@ def mp_quadratic_residual(z: float, gamma: float) -> float:
     """Defect of the defining equation gamma z m^2 - m (z + gamma - 1) + 1 = 0."""
     m = mp_stieltjes(z, gamma)
     return gamma * z * m * m - m * (z + gamma - 1.0) + 1.0
-
-
-def empirical_stieltjes(M_diag, z: float, N: int, M: int) -> float:
-    """(1/(N-M)) tr((z I - S_BB)^{-1}) from the bulk spectrum M_diag."""
-    m = np.asarray(M_diag, dtype=np.float64)
-    if z <= float(np.max(m)):
-        raise InsideSpectrum(f"z = {z:g} inside the spectrum (max = {np.max(m):g})")
-    return float(np.sum(1.0 / (z - m)) / (N - M))
-
-
-def spike_forward_map(l: float, gamma: float) -> float:
-    """lbar = l (1 + gamma / (l - 1)), the almost-sure image of a spike l > 1."""
-    if l <= 1.0 + 1e-12:
-        raise SpikeAtOne(f"spike forward map needs l > 1, got {l:g}")
-    return l * (1.0 + gamma / (l - 1.0))
-
-
-def inversion_gap(M_diag, l_nu: float, N: int, M: int, n: int) -> float:
-    """sqrt(n) (1/(l-1) - (1/(N-M)) tr(M (lbar I - M)^{-1})).
-
-    The quantity the oracle-centering proof drives to zero; ``lbar`` is the
-    spike forward map at gamma_n = (N - M)/n.
-    """
-    gamma_n = (N - M) / n
-    lbar = spike_forward_map(l_nu, gamma_n)
-    m = np.asarray(M_diag, dtype=np.float64)
-    top = float(np.max(m)) if m.size else 0.0
-    if lbar <= top:
-        raise NotInvertible(f"lbar = {lbar:g} <= max eigenvalue of S_BB = {top:g}")
-    trace_term = float(np.sum(m / (lbar - m)) / (N - M))
-    return float(np.sqrt(n) * (1.0 / (l_nu - 1.0) - trace_term))

@@ -8,13 +8,23 @@ package implementations it checks, apart from the samplers that draw the
 whole matrices (checked against Box-Muller in test_rng). The RNG oracles
 take only a stream's key from ``Stream``: they read a numpy Philox
 generator in sequence, or move one through its ``state`` dict.
+
+The last section holds the paper's quantities that the tests and the
+acceptance criteria evaluate but no command computes: the expanded x map,
+the MP density, the empirical Stieltjes transform, the inversion gap,
+exact chi-square-mixture moments and the auxiliary-lemma diagnostics.
 """
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
+from spikedcov.centering import spike_resolvent
+from spikedcov.eigen import shifted_resolvent_diag, spike_quadratic_form
+from spikedcov.errors import NotInvertible, NumericPrecondition, SpikeAtOne, SpikedCovError
+from spikedcov.mp import MPParams
 from spikedcov.rng import Stream
 
 
@@ -278,3 +288,144 @@ def sm_unstreamed(p, q, law, reps, seed):
     ]
     svals = np.concatenate(svals)
     return svals[:, 0], svals[:, -1]
+
+
+# the paper's quantities that no command computes ---------------------------
+
+MOMENT_ORDER_CAP = 8
+MOMENT_WEIGHTS_CAP = 12
+
+
+class TooLarge(SpikedCovError):
+    """Combinatorial computation exceeds its configured caps."""
+
+
+class InsideSpectrum(NumericPrecondition):
+    """Empirical Stieltjes transform evaluated inside the spectrum."""
+
+
+def compose_O(a, b, c, s: int) -> tuple[float, np.ndarray]:
+    """Expand sum_{0 <= j <= s} P(z) Q(z)^j into (Obar, Obar_j).
+
+    P = sum (2 a_i + b_i + c_i) z^i and Q = sum b_i z^i, both of degree at
+    most 2s, so the expansion has degree at most 2 s^2 + 2s (enforced cap).
+    Returns the constant term and the coefficient vector indexed 1..2s^2+2s.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    P = 2.0 * a + b + c
+    max_deg = 2 * s * s + 2 * s
+    total = np.zeros(max_deg + 1)
+    qpow = np.zeros(max_deg + 1)
+    qpow[0] = 1.0
+    for j in range(s + 1):
+        term = np.convolve(P, qpow)[: max_deg + 1]
+        total[: len(term)] += term
+        if j < s:
+            qpow = np.convolve(qpow, b)[: max_deg + 1]
+    return float(total[0]), total[1:]
+
+
+def mp_density(x, gamma: float):
+    """MP density sqrt((b-x)(x-a)) / (2 pi gamma x) on [a, b], 0 outside."""
+    a, b = MPParams(gamma).edges
+    x = np.asarray(x, dtype=np.float64)
+    inside = (x >= a) & (x <= b) & (x > 0.0)
+    out = np.zeros_like(x)
+    xs = x[inside]
+    out[inside] = np.sqrt((b - xs) * (xs - a)) / (2.0 * np.pi * gamma * xs)
+    return out if out.ndim else float(out)
+
+
+def empirical_stieltjes(M_diag, z: float, N: int, M: int) -> float:
+    """(1/(N-M)) tr((z I - S_BB)^{-1}) from the bulk spectrum M_diag."""
+    m = np.asarray(M_diag, dtype=np.float64)
+    if z <= float(np.max(m)):
+        raise InsideSpectrum(f"z = {z:g} inside the spectrum (max = {np.max(m):g})")
+    return float(np.sum(1.0 / (z - m)) / (N - M))
+
+
+def spike_forward_map(l: float, gamma: float) -> float:
+    """lbar = l (1 + gamma / (l - 1)), the almost-sure image of a spike l > 1."""
+    if l <= 1.0 + 1e-12:
+        raise SpikeAtOne(f"spike forward map needs l > 1, got {l:g}")
+    return l * (1.0 + gamma / (l - 1.0))
+
+
+def inversion_gap(M_diag, l_nu: float, N: int, M: int, n: int) -> float:
+    """sqrt(n) (1/(l-1) - (1/(N-M)) tr(M (lbar I - M)^{-1})).
+
+    The quantity the oracle-centering proof drives to zero; ``lbar`` is the
+    spike forward map at gamma_n = (N - M)/n.
+    """
+    gamma_n = (N - M) / n
+    lbar = spike_forward_map(l_nu, gamma_n)
+    m = np.asarray(M_diag, dtype=np.float64)
+    top = float(np.max(m)) if m.size else 0.0
+    if lbar <= top:
+        raise NotInvertible(f"lbar = {lbar:g} <= max eigenvalue of S_BB = {top:g}")
+    trace_term = float(np.sum(m / (lbar - m)) / (N - M))
+    return float(np.sqrt(n) * (1.0 / (l_nu - 1.0) - trace_term))
+
+
+def chi_mixture_moment(c, m: int) -> float:
+    """Exact m-th moment of the mixture sum_k c_k y_k^2 by enumerating compositions.
+
+    beta_m = sum over (q_k) with sum q_k = m of
+    multinomial(m; q) prod_k (2 q_k)! / (2^{q_k} q_k!) c_k^{q_k}.
+    Capped at m <= 8 and len(c) <= 12 (combinatorial blow-up).
+    """
+    c = np.atleast_1d(np.asarray(c, dtype=np.float64))
+    K = len(c)
+    if m > MOMENT_ORDER_CAP or K > MOMENT_WEIGHTS_CAP:
+        raise TooLarge(f"moment order {m} / {K} weights exceed caps")
+    if m == 0:
+        return 1.0
+    fact = [math.factorial(i) for i in range(2 * m + 1)]
+    total = 0.0
+    # compositions of m into K nonnegative parts via stars and bars
+    for bars in combinations(range(m + K - 1), K - 1):
+        prev = -1
+        term = float(fact[m])
+        for k, bar in enumerate(list(bars) + [m + K - 1]):
+            q = bar - prev - 1
+            prev = bar
+            if q:
+                # multinomial 1/q_k!, chi-square moment (2q)!/(2^q q!), weight
+                term *= fact[2 * q] / (2.0**q * fact[q] ** 2) * c[k] ** q
+        total += term
+    return total
+
+
+def lemma_diagnostics(bd, al, spikes, nu, n, N, M) -> dict:
+    """Numerical values of the three auxiliary-lemma statements.
+
+    (i)  l_nu^4 sum_{k != nu} (t_k^T M (l_hat I - M)^{-2} t_nu)^2
+    (ii) (n/M)  sum_{k != nu} (t_k^T M (l_hat I - M)^{-1} t_nu)^2
+    (iii) beta_nu = ||R_nu D_nu e_nu|| and the ratio ||a - e|| / beta_nu
+    (iv) l_hat_nu R_nu^2 - N/n
+    """
+    ls = np.atleast_1d(np.asarray(spikes, dtype=np.float64))
+    l_nu = ls[nu - 1]
+    t_nu = bd.T[:, nu - 1]
+    mask = np.arange(M) != nu - 1
+    d1 = shifted_resolvent_diag(bd.M_diag, al.l_hat, power=1)
+    d2 = shifted_resolvent_diag(bd.M_diag, al.l_hat, power=2)
+    g1 = bd.T.T @ (d1 * t_nu)
+    g2 = bd.T.T @ (d2 * t_nu)
+    sum_sq_1 = float(np.sum(g1[mask] ** 2))
+    sum_sq_2 = float(np.sum(g2[mask] ** 2))
+    r = spike_resolvent(ls, nu)
+    D = bd.S_AA - np.diag(ls) + spike_quadratic_form(bd, al.l_hat, power=1)
+    e = np.zeros(M)
+    e[nu - 1] = 1.0
+    beta = float(np.linalg.norm(r * (D @ e)))
+    diff_norm = float(np.linalg.norm(al.a - e))
+    return {
+        "lemma1_a": l_nu**4 * sum_sq_2,
+        "lemma1_b": (n / M) * sum_sq_1,
+        "beta_nu": beta,
+        "diff_over_beta": diff_norm / beta if beta > 0.0 else (0.0 if diff_norm == 0.0 else math.inf),
+        "lemma3": al.l_hat * al.R**2 - N / n,
+    }

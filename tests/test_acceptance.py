@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from spikedcov.centering import (
-    compose_O,
     iterate_x_expansion,
     polynomial_coefficients,
     series_expansion_check,
@@ -36,7 +35,15 @@ from spikedcov.montecarlo import (
 from spikedcov.config import parse_law
 from spikedcov.rng import Stream
 
-from .oracles import ecdf, naive_abc, naive_compose_eval, naive_matrix_polynomial
+from .oracles import (
+    compose_O,
+    ecdf,
+    empirical_stieltjes,
+    naive_abc,
+    naive_compose_eval,
+    naive_matrix_polynomial,
+    spike_forward_map,
+)
 
 ACC = json.loads((Path(__file__).resolve().parent.parent / "configs" / "acceptance.json").read_text())
 
@@ -287,13 +294,7 @@ def test_criterion_6_leading_term_sign(polynomial_results):
 
 def test_criterion_7_mp_transform():
     from spikedcov.model import EntryLaw, sample_entry_matrix
-    from spikedcov.mp import (
-        MPParams,
-        empirical_stieltjes,
-        mp_quadratic_residual,
-        mp_stieltjes,
-        spike_forward_map,
-    )
+    from spikedcov.mp import MPParams, mp_quadratic_residual, mp_stieltjes
 
     cfg = ACC["mp_transform"]
     worst_quad = 0.0

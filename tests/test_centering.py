@@ -11,7 +11,6 @@ from spikedcov.centering import (
     _x_map,
     clt_centering,
     clt_statistics,
-    compose_O,
     deterministic_shift,
     iterate_x_expansion,
     matrix_polynomial_Mnu,
@@ -41,6 +40,8 @@ from spikedcov.errors import (
     TiedEigenvalues,
 )
 from spikedcov.model import EntryLaw, SpikedModelSpec, generate_data
+
+from .oracles import compose_O
 
 
 class TestTruncationOrder:

@@ -371,6 +371,8 @@ class TestExitCodeContract:
         (["--x-mode", "iter:0"], {}),
         (["--x-mode", "sideways"], {}),
         ([], {"SPIKED_EIG_THREADS": "two"}),
+        (["--threads", "0"], {}),
+        (["--threads", "-3"], {}),
     ])
     def test_bad_input_is_config_error(self, tmp_path, desk_config, args, env):
         proc = run_cli(
@@ -414,6 +416,29 @@ class TestExitCodeContract:
         assert proc.stderr.startswith("config error:")
         assert len(proc.stderr.strip().splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--tol", "nan"],
+        ["--tol", "inf"],
+        ["--tol=-1"],
+        ["--series-terms=-3"],
+    ])
+    def test_bad_check_identities_flag_is_config_error(self, desk_config, args):
+        proc = run_cli(["check-identities", "--config", desk_config, *args], {})
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error:")
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_blank_master_seed_is_the_default_seed(self, tmp_path):
+        cfg = tmp_path / "blank.ini"
+        cfg.write_text(DESK.replace("master_seed = 20260810", "master_seed ="))
+        seeds = {}
+        for command, flags in (("eigs", []), ("clt", ["--replicates", "2"])):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 0
+            seeds[command] = json.loads((out / "manifest.json").read_text())["master_seed"]
+        assert seeds == {"eigs": 0, "clt": 0}
 
     @pytest.mark.parametrize("job", ["generate", "hw"])
     def test_out_of_memory_is_resource_error(self, tmp_path, job):

@@ -3,15 +3,15 @@ import pytest
 
 from spikedcov.cores import fan_out
 from spikedcov.eigen import sample_covariance
-from spikedcov.errors import InsideBulk, InsideSpectrum, NotInvertible, SpikeAtOne
+from spikedcov.errors import InsideBulk, NotInvertible, SpikeAtOne
 from spikedcov.model import EntryLaw, sample_entry_matrix
-from spikedcov.mp import (
-    MPParams,
+from spikedcov.mp import MPParams, mp_quadratic_residual, mp_stieltjes
+
+from .oracles import (
+    InsideSpectrum,
     empirical_stieltjes,
     inversion_gap,
     mp_density,
-    mp_quadratic_residual,
-    mp_stieltjes,
     spike_forward_map,
 )
 
