@@ -29,7 +29,7 @@ import numpy as np
 
 from .eigen import Alignment, BlockDecomposition, shifted_resolvent_diag, spike_quadratic_form
 from .errors import (
-    InvalidDims,
+    ConfigInvalid,
     NoRoot,
     NotSeparated,
     SeriesDiverges,
@@ -46,7 +46,7 @@ def truncation_order(n: int, M: int) -> int:
     log ratio when n/M is an exact power (the ratio is then a small integer).
     """
     if not 1 <= M < n:
-        raise InvalidDims(f"need 1 <= M < n, got (n, M) = ({n}, {M})")
+        raise ConfigInvalid(f"need 1 <= M < n, got (n, M) = ({n}, {M})")
     ratio = 8.0 * math.log(n) / math.log(n / M)
     return int(math.floor(ratio + 1e-9))
 
@@ -198,7 +198,7 @@ def iterate_x_expansion(coeffs: PolynomialCoefficients, k0: int) -> float:
     X_{k0-1} raises NoRoot.
     """
     if k0 < 1:
-        raise InvalidDims(f"need k0 >= 1, got {k0}")
+        raise ConfigInvalid(f"need k0 >= 1, got {k0}")
     x = 0.0
     for _ in range(k0 - 1):
         x = _x_map(coeffs, x)
@@ -242,7 +242,7 @@ def deterministic_shift(spikes, nu: int, n: int, x_mode: str, coeffs=None) -> fl
         return solve_x(coeffs)
     if x_mode.startswith("iter:"):
         return iterate_x_expansion(coeffs, int(x_mode.split(":", 1)[1]))
-    raise InvalidDims(f"unknown x_mode {x_mode!r}")
+    raise ConfigInvalid(f"unknown x_mode {x_mode!r}")
 
 
 def clt_centering(mode: str, nu: int, n: int, bulk, x: float, l_hat=None) -> float:
@@ -261,9 +261,9 @@ def clt_centering(mode: str, nu: int, n: int, bulk, x: float, l_hat=None) -> flo
         return bulk / n + x
     if mode == "statistical":
         if l_hat is None:
-            raise InvalidDims("statistical mode needs the top-M sample eigenvalues")
+            raise ConfigInvalid("statistical mode needs the top-M sample eigenvalues")
         return bulk / n + statistical_centering(l_hat, nu, n)
-    raise InvalidDims(f"unknown mode {mode!r}")
+    raise ConfigInvalid(f"unknown mode {mode!r}")
 
 
 def clt_statistic_value(

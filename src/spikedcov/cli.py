@@ -23,8 +23,9 @@ import numpy as np
 
 from . import __version__, centering, matio, model, mp
 from .config import build_experiment, build_spec, experiment_value, load_config, parse_law
+from .cores import default_workers
 from .eigen import alignment, block_decompose, sample_covariance, sym_eigen, verify_master_identities
-from .errors import ConfigInvalid, NumericPrecondition, SpikedCovError
+from .errors import ConfigInvalid, NumericPrecondition
 from .model import generate_data
 from .montecarlo import (
     STATISTIC_FAMILIES,
@@ -294,21 +295,16 @@ def cmd_consistency(args) -> int:
 
 
 def cmd_concentration(args) -> int:
-    _require_positive(replicates=args.replicates, p=args.p)
-    if args.kind == "sm":
-        _require_positive(q=args.q)
-        if args.q > args.p:
-            raise ConfigInvalid(f"--q {args.q} > --p {args.p}: the band is stated for q <= p")
-    else:
-        _require_positive(t_count=args.t_count)
-        if not (0 <= args.t_min < math.inf and 0 <= args.t_max < math.inf):
-            raise ConfigInvalid(f"--t-min and --t-max must be finite and >= 0, got {args.t_min}, {args.t_max}")
     law = parse_law(args.law)
     if args.kind == "sm":
         out = concentration_sm_check(
             args.p, args.q, law, args.t, args.replicates, args.seed, C=args.constant
         )
     else:
+        # np.linspace needs a count >= 1 and finite ends before the check sees the grid
+        _require_positive(t_count=args.t_count)
+        if not (0 <= args.t_min < math.inf and 0 <= args.t_max < math.inf):
+            raise ConfigInvalid(f"--t-min and --t-max must be finite and >= 0, got {args.t_min}, {args.t_max}")
         t_grid = np.linspace(args.t_min, args.t_max, args.t_count)
         rec = concentration_hw_check(
             args.p, law, None, t_grid, args.replicates, args.seed
@@ -402,6 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        default_workers()  # a malformed SPIKED_EIG_THREADS fails every command up front
         return args.fn(args)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -415,9 +412,6 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
         return EXIT_IO
-    except SpikedCovError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

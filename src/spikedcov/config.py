@@ -106,7 +106,10 @@ def experiment_value(parser: configparser.ConfigParser, key: str, cast, default)
     if not raw:
         return default
     if cast is bool:
-        return raw.lower() in ("1", "true", "yes", "on")
+        states = configparser.ConfigParser.BOOLEAN_STATES
+        if raw.lower() not in states:
+            raise ConfigInvalid(f"[experiment] {key} = {raw!r} is not one of {', '.join(states)}")
+        return states[raw.lower()]
     try:
         return cast(raw)
     except ValueError:

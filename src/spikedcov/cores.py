@@ -28,9 +28,12 @@ def default_workers() -> int:
     env = os.environ.get("SPIKED_EIG_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
-            raise ConfigInvalid(f"SPIKED_EIG_THREADS={env!r} is not an integer") from None
+            workers = 0
+        if workers < 1:
+            raise ConfigInvalid(f"SPIKED_EIG_THREADS={env!r} is not an integer >= 1")
+        return workers
     if hasattr(os, "sched_getaffinity"):
         return max(1, len(os.sched_getaffinity(0)))
     return os.cpu_count() or 1
@@ -112,14 +115,6 @@ def one_blas_thread():
             _blas_depth -= 1
             if controls and _blas_depth == 0:
                 controls[1](_blas_saved)
-
-
-def free_workers() -> int:
-    """Threads a fan-out started here would run on: 1 inside one, else default_workers().
-
-    It sizes work before a fan-out; ``fan_out`` itself decides atomically.
-    """
-    return 1 if _blas_depth else default_workers()
 
 
 def fan_out(fn, items, workers: int | None = None) -> list:

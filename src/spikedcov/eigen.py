@@ -27,9 +27,9 @@ import numpy as np
 
 from .cores import openblas_functions
 from .errors import (
+    ConfigInvalid,
     DegenerateAlignment,
     DegenerateSVD,
-    IndexOutOfRange,
     NoConvergence,
     NotInvertible,
     NotSymmetric,
@@ -283,7 +283,7 @@ def block_decompose(Z: np.ndarray, spikes) -> BlockDecomposition:
     M = len(spikes)
     N, n = Z.shape
     if not M < N:
-        raise IndexOutOfRange(f"need M < N, got M={M}, N={N}")
+        raise ConfigInvalid(f"need M < N, got M={M}, N={N}")
     Z_A = Z[:M, :]
     Z_B = Z[M:, :]
     B = Z_B / np.sqrt(n)
@@ -322,7 +322,7 @@ def alignment(eig: EigenSystem, U: np.ndarray | None, spikes, nu: int) -> Alignm
     spikes = np.atleast_1d(np.asarray(spikes, dtype=np.float64))
     M = len(spikes)
     if not 1 <= nu <= M:
-        raise IndexOutOfRange(f"nu = {nu} outside 1..{M}")
+        raise ConfigInvalid(f"nu = {nu} outside 1..{M}")
     p = eig.vectors[:, nu - 1]
     if U is not None:
         p = U.T @ p

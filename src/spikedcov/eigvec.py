@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import Alignment
-from .errors import InvalidDims, NotSeparated
+from .errors import ConfigInvalid, NotSeparated
 from .rng import Stream
 
 
@@ -83,7 +83,7 @@ def eigvec_statistic(
     elif variant == "C1":
         value = n * one_minus
     else:
-        raise InvalidDims(f"unknown variant {variant!r}")
+        raise ConfigInvalid(f"unknown variant {variant!r}")
     return EigvecStatistic(variant=variant, value=float(value), empirical=empirical, nu=nu)
 
 
@@ -94,7 +94,7 @@ def chi_mixture_sample(c, seed: int, size: int | None = None):
     """
     c = np.atleast_1d(np.asarray(c, dtype=np.float64))
     if np.any(c < 0.0):
-        raise InvalidDims("mixture weights must be nonnegative")
+        raise ConfigInvalid("mixture weights must be nonnegative")
     reps = 1 if size is None else int(size)
     y = Stream(seed, "chi-mixture", len(c)).normals((reps, len(c)))
     out = (y * y) @ c

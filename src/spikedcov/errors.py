@@ -1,7 +1,11 @@
 """Exception taxonomy shared across the package.
 
-Numeric preconditions raise ``NumericPrecondition`` subclasses so callers
-(and the CLI exit-code mapping) can tell them apart from malformed inputs.
+Every package error is one of two kinds. Malformed input of any sort (a
+model spec, a dimension, an index, a flag, a config file or the
+environment) raises ``ConfigInvalid``: the CLI exits 2. A numeric
+precondition that does not hold raises a ``NumericPrecondition``
+subclass: the CLI exits 3, and a replicate that raises one is flagged by
+its subclass name, so those names are written into the outputs.
 """
 
 
@@ -9,16 +13,8 @@ class SpikedCovError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidSpec(SpikedCovError):
-    """Model specification violates a construction invariant."""
-
-
-class InvalidDims(SpikedCovError):
-    """Dimension arguments are inconsistent (e.g. M >= n)."""
-
-
 class ConfigInvalid(SpikedCovError):
-    """Experiment or file configuration failed validation."""
+    """Malformed input: a spec, dimension, index, flag, file or environment value."""
 
 
 class NumericPrecondition(SpikedCovError):
@@ -67,7 +63,3 @@ class NoRoot(NumericPrecondition):
 
 class SeriesDiverges(NumericPrecondition):
     """Series expansion attempted outside its convergence region."""
-
-
-class IndexOutOfRange(SpikedCovError):
-    pass

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidSpec
+from .errors import ConfigInvalid
 from .rng import Stream
 
 #: Laws with fourth moment below 1 + DEFAULT_DELTA0 are ineligible for CLT runs.
@@ -43,10 +43,10 @@ class EntryLaw:
         elif self.kind == "twopoint":
             p = self.p
             if p is None or not 0.0 < p < 1.0:
-                raise InvalidSpec(f"twopoint law needs p in (0,1), got {p!r}")
+                raise ConfigInvalid(f"twopoint law needs p in (0,1), got {p!r}")
             m4 = (1.0 - p) ** 2 / p + p**2 / (1.0 - p)
         else:
-            raise InvalidSpec(f"unknown entry law kind {self.kind!r}")
+            raise ConfigInvalid(f"unknown entry law kind {self.kind!r}")
         object.__setattr__(self, "fourth_moment", m4)
 
     @classmethod
@@ -128,12 +128,12 @@ def parse_spike_rule(rule, n: int) -> float:
         return float(rule)
     m = _RULE_RE.match(str(rule))
     if not m:
-        raise InvalidSpec(f"cannot parse spike rule {rule!r}")
+        raise ConfigInvalid(f"cannot parse spike rule {rule!r}")
     c = float(m.group(1))
     if m.group(0).find("n") < 0:
         return c
     if n < 1:
-        raise InvalidSpec(f"spike rule {rule!r} needs n >= 1, got n = {n}")
+        raise ConfigInvalid(f"spike rule {rule!r} needs n >= 1, got n = {n}")
     a = float(m.group(2)) if m.group(2) is not None else 1.0
     return c * float(n) ** a
 
@@ -173,27 +173,27 @@ class SpikedModelSpec:
 
     def validate(self) -> None:
         if self.M != len(self.spikes):
-            raise InvalidSpec(f"M={self.M} but {len(self.spikes)} spikes given")
+            raise ConfigInvalid(f"M={self.M} but {len(self.spikes)} spikes given")
         if not (0 < self.M < self.N and self.M < self.n):
-            raise InvalidSpec(f"need 0 < M < N and M < n, got (n,N,M)=({self.n},{self.N},{self.M})")
+            raise ConfigInvalid(f"need 0 < M < N and M < n, got (n,N,M)=({self.n},{self.N},{self.M})")
         if np.any(np.diff(self.spikes) > 0):
-            raise InvalidSpec("spikes must be sorted descending")
+            raise ConfigInvalid("spikes must be sorted descending")
         if np.any(self.spikes < 1.0) or not np.all(np.isfinite(self.spikes)):
-            raise InvalidSpec("every spike must be finite and >= 1")
+            raise ConfigInvalid("every spike must be finite and >= 1")
         if not self.gamma_bound >= 1.0:
-            raise InvalidSpec(f"gamma_bound = {self.gamma_bound:g} must be >= 1")
+            raise ConfigInvalid(f"gamma_bound = {self.gamma_bound:g} must be >= 1")
         ratio = self.N / self.n
         if not (1.0 / self.gamma_bound <= ratio <= self.gamma_bound):
-            raise InvalidSpec(
+            raise ConfigInvalid(
                 f"N/n = {ratio:g} outside [1/gamma, gamma] for gamma = {self.gamma_bound:g}"
             )
         if self.basis is not None:
             b = np.asarray(self.basis, dtype=np.float64)
             if b.shape != (self.N, self.N):
-                raise InvalidSpec(f"basis must be {self.N}x{self.N}, got {b.shape}")
+                raise ConfigInvalid(f"basis must be {self.N}x{self.N}, got {b.shape}")
             err = np.max(np.abs(b.T @ b - np.eye(self.N)))
             if err > 1e-10:
-                raise InvalidSpec(f"basis not orthogonal: max |U^T U - I| = {err:.3e}")
+                raise ConfigInvalid(f"basis not orthogonal: max |U^T U - I| = {err:.3e}")
             self.basis = b
 
     def sqrt_lambda(self) -> np.ndarray:
@@ -216,7 +216,7 @@ def sample_entry_matrix(rows: int, cols: int, law: EntryLaw, seed: int) -> np.nd
     Identical (rows, cols, law, seed) yields bit-identical output.
     """
     if rows < 1 or cols < 1:
-        raise InvalidSpec(f"need rows, cols >= 1, got ({rows}, {cols})")
+        raise ConfigInvalid(f"need rows, cols >= 1, got ({rows}, {cols})")
     return law.sample(Stream(seed, "entries", law.label(), rows, cols), (rows, cols))
 
 
@@ -240,7 +240,7 @@ def check_separation(spec: SpikedModelSpec, nu: int, eps0: float) -> SeparationP
     constraint is intended for the top spike.
     """
     if not 1 <= nu <= spec.M:
-        raise IndexOutOfRange(f"nu = {nu} outside 1..{spec.M}")
+        raise ConfigInvalid(f"nu = {nu} outside 1..{spec.M}")
     ls = spec.spikes
     l_nu = ls[nu - 1]
     lower_next = ls[nu] if nu < spec.M else 1.0

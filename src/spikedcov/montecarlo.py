@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import centering as ctr
-from .cores import default_workers, fan_out, free_workers, one_blas_thread
+from .cores import default_workers, fan_out, one_blas_thread
 from .eigen import (
     EigenSystem,
     alignment,
@@ -27,7 +27,7 @@ from .eigen import (
     top_eigenpairs,
     top_eigenvalues,
 )
-from .errors import ConfigInvalid, InvalidDims, NumericPrecondition
+from .errors import ConfigInvalid, NumericPrecondition
 from .eigvec import eigvec_statistic
 from .model import DEFAULT_DELTA0, SpikedModelSpec, check_separation, sample_entry_matrix
 from .rng import Stream, derive_key
@@ -71,9 +71,7 @@ class ExperimentConfig:
             r"iter:[1-9][0-9]*", self.x_mode
         ):
             raise ConfigInvalid(f"x_mode {self.x_mode!r}: want root, iter:<k0 >= 1>, zero or auto")
-        if self.workers is None:
-            default_workers()  # a malformed SPIKED_EIG_THREADS fails here, before any replicate
-        elif self.workers < 1:
+        if self.workers is not None and self.workers < 1:
             raise ConfigInvalid(f"need at least one worker, got {self.workers}")
         if self.statistic in CLT_STATISTICS and not self.spec.law.eligible_for_clt():
             raise ConfigInvalid(
@@ -139,7 +137,7 @@ def ks_statistic(samples, reference_cdf) -> float:
     x = np.sort(np.asarray(samples, dtype=np.float64))
     n = len(x)
     if n == 0:
-        raise InvalidDims("KS statistic of an empty sample")
+        raise ConfigInvalid("KS statistic of an empty sample")
     F = np.asarray(reference_cdf(x), dtype=np.float64)
     hi = np.max(np.arange(1, n + 1) / n - F)
     lo = np.max(F - np.arange(0, n) / n)
@@ -341,12 +339,12 @@ def _reduce_rows(law, stream, width: int, block: int, draws, reduce) -> None:
     A draw ``(first row, count, starts)`` is ``count`` values of ``law`` at
     each uniform offset in ``starts``, one value array per offset for
     ``reduce``. It is cut into blocks of ``block`` units, at most the
-    units per free worker, rounded down to whole rows, fanned out over the
+    units per worker, rounded down to whole rows, fanned out over the
     cores. A block reduces its whole rows and keeps the pieces of rows cut
     by a segment edge; these are put back together in flat order and
     reduced at the end.
     """
-    per_worker = -(-sum(law.units(count)[0] for _, count, _ in draws) // free_workers())
+    per_worker = -(-sum(law.units(count)[0] for _, count, _ in draws) // default_workers())
     step = max(1, min(block, per_worker) // width) * width
     blocks = [
         (row * width, count, starts, lo)
@@ -429,9 +427,9 @@ def concentration_sm_check(
     <= 2 exp(-t^2) for a universal constant; C is a calibrated stand-in.
     """
     if p < 1 or q < 1 or reps < 1:
-        raise InvalidDims(f"need p, q, reps >= 1, got ({p}, {q}, {reps})")
+        raise ConfigInvalid(f"need p, q, reps >= 1, got ({p}, {q}, {reps})")
     if q > p:
-        raise InvalidDims(f"the band is stated for q <= p, got (p, q) = ({p}, {q})")
+        raise ConfigInvalid(f"the band is stated for q <= p, got (p, q) = ({p}, {q})")
     if not (math.isfinite(t) and math.isfinite(C) and t >= 0.0 and C >= 0.0):
         raise ConfigInvalid(f"t and C must be finite and >= 0, got t = {t}, C = {C}")
     lower = math.sqrt(p) - C * (math.sqrt(q) + t)
@@ -476,13 +474,13 @@ def concentration_hw_check(
     to 1e-12 of max |y^T C y|.
     """
     if p < 1 or reps < 1:
-        raise InvalidDims(f"need p, reps >= 1, got ({p}, {reps})")
+        raise ConfigInvalid(f"need p, reps >= 1, got ({p}, {reps})")
     if matrixC is None:
         opnorm, trace = 1.0, float(p)
     else:
         C = np.asarray(matrixC, dtype=np.float64)
         if C.shape != (p, p):
-            raise InvalidDims(f"matrixC must be {p}x{p}, got {C.shape}")
+            raise ConfigInvalid(f"matrixC must be {p}x{p}, got {C.shape}")
         opnorm = float(np.linalg.norm(C, 2)) if np.any(C) else 0.0
         trace = float(np.trace(C))
     t_grid = np.asarray(t_grid, dtype=np.float64)

@@ -112,12 +112,13 @@ class Stream:
 
         The 2 * half uniforms drawn from ``offset`` on hold the radius half,
         then the angle half; the offset then moves past them. At
-        2 * _MIN_SPAN pairs or more, outside another fan-out, the draw splits
-        into up to one span of ``pairs`` per core; below that it is one span.
+        2 * _MIN_SPAN pairs or more the draw splits into up to one span of
+        ``pairs`` per worker, which ``cores.fan_out`` runs serially inside
+        another fan-out; below that it is one span. The bits are the same.
         """
         count = math.prod(shape) if np.iterable(shape) else int(shape)
         half = (count + 1) // 2
-        parts = 1 if half < 2 * _MIN_SPAN else min(cores.free_workers(), half // _MIN_SPAN)
+        parts = 1 if half < 2 * _MIN_SPAN else min(cores.default_workers(), half // _MIN_SPAN)
         bounds = [half * i // parts for i in range(parts + 1)]
         start = self.offset
         z = np.empty(2 * half)

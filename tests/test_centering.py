@@ -32,7 +32,7 @@ from spikedcov.eigen import (
     sym_eigen,
 )
 from spikedcov.errors import (
-    InvalidDims,
+    ConfigInvalid,
     NoRoot,
     NotInvertible,
     NotSeparated,
@@ -56,7 +56,7 @@ class TestTruncationOrder:
         assert truncation_order(77, 1) == 8
 
     def test_invalid_dims(self):
-        with pytest.raises(InvalidDims):
+        with pytest.raises(ConfigInvalid):
             truncation_order(100, 100)
 
 
@@ -360,7 +360,7 @@ class TestCltStatistics:
 
     def test_statistical_needs_lhat(self, instance, gaussian):
         spec, bd, eig, al = instance
-        with pytest.raises(InvalidDims):
+        with pytest.raises(ConfigInvalid):
             clt_statistics(bd, al, spec.spikes, gaussian, "statistical")
         got = clt_statistics(
             bd, al, spec.spikes, gaussian, "statistical", l_hat=eig.values[:3]
@@ -394,9 +394,9 @@ class TestCltCentering:
         assert clt_centering("oracle", 2, 100, 0.25, 0.01) == 0.25 + 0.01
 
     def test_statistical_needs_lhat_and_unknown_mode(self):
-        with pytest.raises(InvalidDims):
+        with pytest.raises(ConfigInvalid):
             clt_centering("statistical", 2, 100, 0.1, 0.0)
-        with pytest.raises(InvalidDims):
+        with pytest.raises(ConfigInvalid):
             clt_centering("hybrid", 2, 100, 0.1, 0.0)
 
     def test_trace_modes_need_lhat_above_bulk(self):

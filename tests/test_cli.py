@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spikedcov
-from spikedcov import cli, cores, matio, montecarlo
+from spikedcov import cli, cores, errors, matio, montecarlo
 from spikedcov.cli import main
 from spikedcov.errors import NoConvergence
 
@@ -373,6 +373,8 @@ class TestExitCodeContract:
         ([], {"SPIKED_EIG_THREADS": "two"}),
         (["--threads", "0"], {}),
         (["--threads", "-3"], {}),
+        ([], {"SPIKED_EIG_THREADS": "0"}),
+        ([], {"SPIKED_EIG_THREADS": "-2"}),
     ])
     def test_bad_input_is_config_error(self, tmp_path, desk_config, args, env):
         proc = run_cli(
@@ -383,6 +385,21 @@ class TestExitCodeContract:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("config error:")
         assert len(proc.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["generate", "mp"])
+    def test_bad_thread_count_is_config_error_under_every_command(self, tmp_path, desk_config, command):
+        # generate's desk-size draw and mp never size a pool: the value is checked up front
+        out = tmp_path / "o"
+        args = {
+            "generate": ["generate", "--config", desk_config, "--out", str(out)],
+            "mp": ["mp", "--gamma", "1", "--z-grid", "1:5:4", "--out", str(out / "mp.csv")],
+        }[command]
+        proc = run_cli(args, {"SPIKED_EIG_THREADS": "0"})
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error:")
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("args", [
         ["concentration", "--kind", "sm", "--replicates", "0"],
@@ -488,6 +505,7 @@ class TestExitCodeContract:
         pytest.param(MINIMAL.replace("law", "gamma_bound = 0\nlaw").encode(), id="gamma-bound-0"),
         pytest.param(MINIMAL.replace("law", "basis = random_orthogonal:x\nlaw").encode(),
                      id="basis-seed"),
+        pytest.param(MINIMAL.replace("spikes = 4", "spikes = 4, 2").encode(), id="M-spikes-mismatch"),
     ])
     def test_malformed_config_file_is_config_error(self, tmp_path, data):
         cfg = tmp_path / "bad.ini"
@@ -496,7 +514,7 @@ class TestExitCodeContract:
         proc = run_cli(["clt", "--config", str(cfg), "--out", str(out), "--replicates", "2"], {})
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith(("config error:", "error:"))
+        assert proc.stderr.startswith("config error:")
         assert len(proc.stderr.strip().splitlines()) == 1
         assert not out.exists()
 
@@ -525,6 +543,39 @@ class TestExitCodeContract:
         assert "Traceback" not in proc.stderr
         assert "unrecognized arguments: --threads 1" in proc.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("value, want", [("yes", True), ("On", True), ("Off", False), ("0", False)])
+    def test_boolean_key_takes_configparser_spellings(self, tmp_path, value, want):
+        cfg = tmp_path / "bool.ini"
+        cfg.write_text(DESK.replace("statistic = clt_oracle", f"statistic = eigvec_A\nempirical = {value}"))
+        out = tmp_path / "o"
+        assert main(["eigvec", "--config", str(cfg), "--out", str(out), "--replicates", "1"]) == 0
+        assert json.loads((out / "report.json").read_text())["empirical"] is want
+
+    @pytest.mark.parametrize("value", ["maybe", "y"])
+    def test_misspelled_boolean_key_is_config_error(self, tmp_path, value):
+        cfg = tmp_path / "bool.ini"
+        cfg.write_text(DESK.replace("statistic = clt_oracle", f"statistic = eigvec_A\nempirical = {value}"))
+        out = tmp_path / "o"
+        proc = run_cli(["eigvec", "--config", str(cfg), "--out", str(out), "--replicates", "2"], {})
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error:")
+        assert "empirical" in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_every_package_error_has_an_exit_branch(self):
+        # main maps ConfigInvalid to exit 2 and NumericPrecondition to exit 3;
+        # no other SpikedCovError may exist for it to miss
+        classes = [
+            cls for cls in vars(errors).values()
+            if isinstance(cls, type) and issubclass(cls, errors.SpikedCovError)
+            and cls is not errors.SpikedCovError
+        ]
+        assert errors.ConfigInvalid in classes and errors.NotSeparated in classes
+        for cls in classes:
+            assert issubclass(cls, (errors.ConfigInvalid, errors.NumericPrecondition)), cls
 
     def test_x_mode_from_config_file_is_checked(self, tmp_path, capsys):
         cfg = tmp_path / "bad_x.ini"
@@ -764,6 +815,8 @@ class TestCliFuzz:
             rc = main([*argv, f"--out={out}"])
         assert rc in (0, 2, 3, 4, 5)
         assert "Traceback" not in err.getvalue()
+        if rc == 2:
+            assert err.getvalue().startswith("config error:")
 
     # the flags each --config command takes besides --config
     CONFIG_COMMANDS = {
@@ -791,6 +844,8 @@ class TestCliFuzz:
             rc = main([command, "--config", path, *flags])
         assert rc in (0, 2, 3, 4, 5)
         assert "Traceback" not in err.getvalue()
+        if rc == 2:
+            assert err.getvalue().startswith("config error:")
 
 
 class TestBlasThreadIndependence:

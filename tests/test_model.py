@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikedcov import cores
-from spikedcov.errors import IndexOutOfRange, InvalidSpec
+from spikedcov.errors import ConfigInvalid
 from spikedcov.model import (
     EntryLaw,
     SpikedModelSpec,
@@ -60,7 +60,8 @@ def test_law_moments_million_draws(law):
 @pytest.mark.parametrize("law", [LAWS[0], LAWS[1], LAWS[3]], ids=lambda l: l.label())
 def test_draw_is_written_in_place(law, one_span):
     # the bits of the allocating transforms, with at most a quarter of
-    # the matrix in temporaries; one-span is a replicate's draw
+    # the matrix in temporaries; one-span draws as a replicate does, inside
+    # one_blas_thread, where its spans run serially
     N, n, seed = 600, 1200, 11
     want = law_values_reference(law, sequential(seed, "entries", law.label(), N, n), (N, n))
     with cores.one_blas_thread() if one_span else contextlib.nullcontext():
@@ -132,17 +133,17 @@ def test_covariance_converges_to_sigma(gaussian):
 
 
 def test_spec_invariants(gaussian):
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(ConfigInvalid):
         SpikedModelSpec(n=10, N=8, M=2, spikes=[2.0, 4.0], law=gaussian)  # ascending
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(ConfigInvalid):
         SpikedModelSpec(n=10, N=8, M=2, spikes=[2.0, 0.5], law=gaussian)  # below 1
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(ConfigInvalid):
         SpikedModelSpec(n=100, N=5, M=2, spikes=[2.0, 2.0], law=gaussian, gamma_bound=10)
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(ConfigInvalid):
         SpikedModelSpec(n=10, N=8, M=8, spikes=[2.0] * 8, law=gaussian)  # M = N
     bad = np.eye(8)
     bad[0, 0] = 1.5
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(ConfigInvalid):
         SpikedModelSpec(n=10, N=8, M=1, spikes=[2.0], law=gaussian, basis=bad)
 
 
@@ -151,7 +152,7 @@ def test_spike_rules():
     assert parse_spike_rule(3.5, 100) == 3.5
     assert parse_spike_rule("2*n", 100) == 200.0
     assert parse_spike_rule("2*n^0.8", 100) == pytest.approx(2 * 100**0.8)
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(ConfigInvalid):
         parse_spike_rule("n^q", 100)
 
 
@@ -165,7 +166,7 @@ def test_separation_top_spike_has_no_upper_constraint(gaussian):
 def test_separation_interior_spike(gaussian):
     spec = SpikedModelSpec(n=100, N=80, M=3, spikes=[100.0, 10.0, 1.5], law=gaussian)
     assert check_separation(spec, 2, 0.5).separated
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(ConfigInvalid):
         check_separation(spec, 4, 0.5)
 
 

@@ -19,7 +19,7 @@ from spikedcov.eigen import (
     sym_eigen,
 )
 from spikedcov.eigvec import eigvec_statistic
-from spikedcov.errors import ConfigInvalid, InvalidDims, NoConvergence
+from spikedcov.errors import ConfigInvalid, NoConvergence
 from spikedcov.model import EntryLaw, SpikedModelSpec, generate_data
 from spikedcov.montecarlo import (
     ExperimentConfig,
@@ -65,7 +65,7 @@ class TestKsStatistic:
         assert ks_statistic(u, norm.cdf) > 0.3
 
     def test_empty_raises(self):
-        with pytest.raises(InvalidDims):
+        with pytest.raises(ConfigInvalid):
             ks_statistic([], norm.cdf)
 
     def test_monotone_relabel_invariance(self):
@@ -322,7 +322,7 @@ class TestConcentrationSM:
 
     @pytest.mark.parametrize("reps", [0, -1])
     def test_invalid_reps(self, gaussian, reps):
-        with pytest.raises(InvalidDims):
+        with pytest.raises(ConfigInvalid):
             concentration_sm_check(5, 2, gaussian, 1.0, reps, seed=1)
 
     def test_determinism(self, gaussian):
@@ -365,7 +365,7 @@ class TestConcentrationSM:
         assert peak < 20e6  # one whole chunk of 128 matrices alone is 16.4 MB
 
     def test_band_needs_q_at_most_p(self, gaussian):
-        with pytest.raises(InvalidDims):
+        with pytest.raises(ConfigInvalid):
             concentration_sm_check(10, 50, gaussian, 1.0, 10, seed=1)
 
     @pytest.mark.parametrize("t, C", [
@@ -426,7 +426,7 @@ class TestConcentrationHW:
 
     @pytest.mark.parametrize("p, reps", [(0, 10), (-1, 10), (5, 0), (5, -2)])
     def test_invalid_dims(self, gaussian, p, reps):
-        with pytest.raises(InvalidDims):
+        with pytest.raises(ConfigInvalid):
             concentration_hw_check(p, gaussian, None, [1.0], reps, 1)
 
     @pytest.mark.parametrize("t", [np.nan, np.inf, -1.0])

@@ -1,4 +1,5 @@
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -103,16 +104,29 @@ def test_split_at_the_default_span(monkeypatch):
     np.testing.assert_array_equal(a.uniforms(5), b.random(5))
 
 
-def test_draws_inside_a_fan_out_are_one_span(span_counts):
+def test_draws_inside_a_fan_out_run_on_the_calling_thread(span_counts, monkeypatch):
+    # a replicate's draw: cut into spans as at top level, run serially, same bits
+    threads = []
+    pairs = Stream.pairs
+
+    def spy(self, *args):
+        threads.append(threading.get_ident())
+        return pairs(self, *args)
+
+    monkeypatch.setattr(Stream, "pairs", spy)
+    a, b = Stream(81, "inner"), sequential(81, "inner")
     with cores.one_blas_thread():
-        Stream(81, "inner").normals(50)
-    Stream(81, "outer").normals(50)
-    assert span_counts == [1, 3]
+        got = a.normals(50)
+    np.testing.assert_array_equal(got, box_muller_reference(b, 50))
+    assert span_counts == [3]
+    assert threads == [threading.get_ident()] * 3
+    np.testing.assert_array_equal(a.uniforms(3), b.random(3))
 
 
 @pytest.mark.parametrize("shape", [1, 7, 8, (3, 7), (40, 51)])
-def test_one_span_draw_in_blocks_bit_identical(span_counts, shape):
-    # a replicate's draw: one span, transformed 3 pairs at a time
+def test_one_span_draw_in_blocks_bit_identical(span_counts, monkeypatch, shape):
+    # one worker: one span, transformed 3 pairs at a time
+    monkeypatch.setenv("SPIKED_EIG_THREADS", "1")
     a, b = Stream(82, "blocks", repr(shape)), sequential(82, "blocks", repr(shape))
     with cores.one_blas_thread():
         got = a.normals(shape)
