@@ -43,10 +43,12 @@ EXIT_IO = 5
 
 
 def _sha256(path) -> str:
+    """The file's SHA-256, read through one reused 256 KiB buffer."""
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
+    buf = memoryview(bytearray(1 << 18))
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(buf):
+            h.update(buf[:size])
     return h.hexdigest()
 
 
@@ -172,12 +174,19 @@ def _run_experiment_job(args, config) -> int:
 
 
 def cmd_generate(args) -> int:
+    """``generate_data``'s X and Z from one buffer: Z is written first, then turned into X."""
     _, spec, seed = _instance(args)
-    X, Z = generate_data(spec, seed)
+    data = model.sample_entry_matrix(spec.N, spec.n, spec.law, seed)
     manifest = Manifest(args.config, args.out, seed)
-    for name, mat in (("X", X),) + ((("Z", Z),) if args.with_z else ()):
+
+    def save(name, mat) -> None:
         manifest.save(f"{name}.csv", matio.write_csv, mat)
         manifest.save(f"{name}.bin", matio.write_binary, mat)
+
+    if args.with_z:
+        save("Z", data)
+    data = model.spike_entries(spec, data)  # with a basis, the scaled draw is freed here
+    save("X", data)
     manifest.write()
     return EXIT_OK
 

@@ -23,6 +23,13 @@ import numpy as np
 from .errors import ConfigInvalid
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return os.cpu_count() or 1
+
+
 def default_workers() -> int:
     """SPIKED_EIG_THREADS, else the CPUs this process may run on."""
     env = os.environ.get("SPIKED_EIG_THREADS")
@@ -34,9 +41,12 @@ def default_workers() -> int:
         if workers < 1:
             raise ConfigInvalid(f"SPIKED_EIG_THREADS={env!r} is not an integer >= 1")
         return workers
-    if hasattr(os, "sched_getaffinity"):
-        return max(1, len(os.sched_getaffinity(0)))
-    return os.cpu_count() or 1
+    return _cpus()
+
+
+def pool_workers(workers: int | None = None) -> int:
+    """The threads a fan-out may start: ``workers`` (default ``default_workers()``), at most the CPUs."""
+    return min(default_workers() if workers is None else workers, _cpus())
 
 
 # How numpy's OpenBLAS builds name a symbol: prefix + name + suffix, where
@@ -120,14 +130,14 @@ def one_blas_thread():
 def fan_out(fn, items, workers: int | None = None) -> list:
     """``[fn(item) for item in items]``, on a pool of threads each on one BLAS thread.
 
-    ``workers`` caps the pool (default ``default_workers()``). Inside
-    another fan-out or ``one_blas_thread`` the tasks run serially on the
-    calling thread.
+    ``workers`` caps the pool (default ``default_workers()``), and so do
+    the items and the CPUs (``pool_workers``). Inside another fan-out or
+    ``one_blas_thread`` the tasks run serially on the calling thread.
     """
     items = list(items)
     with one_blas_thread() as owner:
         if owner and len(items) > 1:
-            workers = min(len(items), default_workers() if workers is None else workers)
+            workers = min(len(items), pool_workers(workers))
         else:
             workers = 1
         if workers <= 1:

@@ -12,11 +12,14 @@ row-major order.
 from __future__ import annotations
 
 import functools
+import os
 import struct
+import warnings
 
 import numpy as np
 
 MAGIC = b"SPIKEMAT"
+_HEADER = 24  # the magic, rows and cols
 
 #: Values per write_csv block: at 2^12 a block's temporaries are reused
 #: without new page faults, which doubled the time per value from 2^13 up.
@@ -149,26 +152,44 @@ def read_csv(path) -> np.ndarray:
         if not any(line.split("#", 1)[0].strip() for line in iter(fh.readline, "")):
             raise ValueError(f"header says {(rows, cols)} but the payload holds no values")
         fh.seek(start)
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        # a row more than the header's: loadtxt allocates that once instead of
+        # growing its array, and a payload with extra rows still mismatches.
+        # Blank lines count towards no limit; loadtxt warns that they once did.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "Input line", UserWarning)
+            data = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=rows + 1)
     if data.shape != (rows, cols):
         raise ValueError(f"header says {(rows, cols)} but payload is {data.shape}")
     return data
 
 
 def write_binary(path, A: np.ndarray) -> None:
+    """Write A in the binary format, from A's own buffer when it is C-ordered ``<f8``."""
     A = np.ascontiguousarray(A, dtype="<f8")
     rows, cols = A.shape
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<QQ", rows, cols))
-        fh.write(A.tobytes(order="C"))
+        fh.write(A.data)
 
 
 def read_binary(path) -> np.ndarray:
+    """Read a binary-format matrix into one new array; ValueError for a malformed file.
+
+    The header is checked against the file size before the array is allocated.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
-        rows, cols = struct.unpack("<QQ", fh.read(16))
-        payload = fh.read(8 * rows * cols)
-    return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+        header = fh.read(_HEADER)
+        if len(header) < _HEADER:
+            raise ValueError(f"{len(header)}-byte file is shorter than the {_HEADER}-byte header")
+        if header[:8] != MAGIC:
+            raise ValueError(f"bad magic {header[:8]!r}")
+        rows, cols = struct.unpack("<QQ", header[8:])
+        payload = os.fstat(fh.fileno()).st_size - _HEADER
+        if 8 * rows * cols > payload:
+            raise ValueError(f"header says {(rows, cols)} but the payload is {payload} bytes")
+        A = np.empty((rows, cols), dtype="<f8")
+        got = fh.readinto(A.data)
+    if got != A.nbytes:
+        raise ValueError(f"header says {(rows, cols)} but the payload ended after {got} bytes")
+    return A

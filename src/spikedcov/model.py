@@ -220,15 +220,20 @@ def sample_entry_matrix(rows: int, cols: int, law: EntryLaw, seed: int) -> np.nd
     return law.sample(Stream(seed, "entries", law.label(), rows, cols), (rows, cols))
 
 
+def spike_entries(spec: SpikedModelSpec, z: np.ndarray) -> np.ndarray:
+    """X = U diag(sqrt(l), 1, ..) Z from the draw ``z``, whose first M rows it scales in place.
+
+    Without a basis X is ``z`` itself; with one it is a new array.
+    """
+    z[: spec.M, :] *= spec.sqrt_lambda()[:, np.newaxis]
+    return z if spec.basis is None else spec.basis @ z
+
+
 def generate_data(spec: SpikedModelSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw (X, Z) with X = U diag(sqrt(l), 1, ..) Z; Z returned for diagnostics."""
     spec.validate()
     z = sample_entry_matrix(spec.N, spec.n, spec.law, seed)
-    x = z.copy()
-    x[: spec.M, :] *= spec.sqrt_lambda()[:, np.newaxis]
-    if spec.basis is not None:
-        x = spec.basis @ x
-    return x, z
+    return spike_entries(spec, z.copy()), z
 
 
 def check_separation(spec: SpikedModelSpec, nu: int, eps0: float) -> SeparationProfile:

@@ -24,6 +24,7 @@ import numpy as np
 from spikedcov.centering import spike_resolvent
 from spikedcov.eigen import shifted_resolvent_diag, spike_quadratic_form
 from spikedcov.errors import NotInvertible, NumericPrecondition, SpikeAtOne, SpikedCovError
+from spikedcov.montecarlo import extreme_singular_values
 from spikedcov.mp import MPParams
 from spikedcov.rng import Stream
 
@@ -279,15 +280,15 @@ def sm_unstreamed(p, q, law, reps, seed):
     """concentration_sm_check's per-matrix (s_1, s_q) from whole draws.
 
     The formula the streamed check replaced: each chunk of up to 128
-    matrices drawn in one stack and put through one batched SVD.
+    matrices drawn in one stack and reduced at once, by the check's own
+    ``extreme_singular_values`` (tested against the SVD on its own).
     """
     stream = Stream(seed, "concentration-sm", p, q, law.label())
-    svals = [
-        np.linalg.svd(law.sample(stream, (min(128, reps - done), p, q)), compute_uv=False)
+    parts = [
+        extreme_singular_values(law.sample(stream, (min(128, reps - done), p, q)))
         for done in range(0, reps, 128)
     ]
-    svals = np.concatenate(svals)
-    return svals[:, 0], svals[:, -1]
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 # the paper's quantities that no command computes ---------------------------

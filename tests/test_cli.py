@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import hashlib
 import inspect
 import io
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,9 @@ from hypothesis import strategies as st
 import spikedcov
 from spikedcov import cli, cores, errors, matio, montecarlo
 from spikedcov.cli import main
+from spikedcov.config import build_spec, load_config
 from spikedcov.errors import NoConvergence
+from spikedcov.model import generate_data
 
 CLT_ORACLE_DESK = Path(__file__).resolve().parent.parent / "configs" / "clt_oracle_desk.ini"
 
@@ -105,6 +109,46 @@ class TestGenerate:
         rc = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "spike" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("with_z", [False, True], ids=["X", "X-and-Z"])
+    @pytest.mark.parametrize("basis", ["identity", "random_orthogonal:7"])
+    def test_files_are_generate_data_bit_for_bit(self, tmp_path, basis, with_z):
+        # large enough that the draw is cut into spans
+        cfg = tmp_path / "g.ini"
+        cfg.write_text(
+            "[model]\nn = 500\nN = 300\nM = 2\nspikes = 9, 4\nlaw = gaussian\n"
+            f"basis = {basis}\n"
+        )
+        out = tmp_path / "out"
+        argv = ["generate", "--config", str(cfg), "--out", str(out), "--seed", "5"]
+        assert main(argv + ["--with-z"] * with_z) == 0
+        spec = build_spec(load_config(str(cfg)))
+        want = dict(zip("XZ", generate_data(spec, 5)))
+        assert (spec.basis is None) == (basis == "identity")
+        names = ("X", "Z") if with_z else ("X",)
+        files = json.loads((out / "manifest.json").read_text())["files"]
+        assert set(files) == {f"{name}.{fmt}" for name in names for fmt in ("csv", "bin")}
+        for name in names:
+            bits = want[name].view(np.uint64)
+            np.testing.assert_array_equal(matio.read_csv(out / f"{name}.csv").view(np.uint64), bits)
+            np.testing.assert_array_equal(matio.read_binary(out / f"{name}.bin").view(np.uint64), bits)
+
+    def test_holds_one_matrix(self, tmp_path):
+        # Z is written, then scaled into X in place: no second N x n array,
+        # and no whole-file buffer for the hashes
+        small = tmp_path / "m.ini"
+        small.write_text(MINIMAL)
+        main(["generate", "--config", str(small), "--out", str(tmp_path / "warm"), "--with-z"])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            rc = main(["generate", "--config", str(CLT_ORACLE_DESK), "--out", str(tmp_path / "o"), "--with-z"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak <= 500 * 1000 * 8 + (1 << 20)
 
 
 class TestEigs:
@@ -723,7 +767,9 @@ class BlockScipy:
 
 sys.meta_path.insert(0, BlockScipy())
 from spikedcov.cli import main
+from spikedcov.config import build_spec, load_config
 from spikedcov.errors import NoConvergence
+from spikedcov.model import generate_data
 
 rc = main(sys.argv[1:])
 loaded = sorted(m for m in sys.modules if m.startswith("scipy"))

@@ -1,4 +1,6 @@
+import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +68,74 @@ def test_binary_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 24)
     with pytest.raises(ValueError):
         matio.read_binary(path)
+
+
+@pytest.mark.parametrize("content, reason", [
+    pytest.param(b"", "shorter", id="empty"),
+    pytest.param(b"SPIKEMAT" + struct.pack("<Q", 2), "shorter", id="cut-header"),
+    pytest.param(b"SPIKEMAT" + struct.pack("<QQ", 1 << 40, 1 << 40), "payload", id="huge-shape"),
+    pytest.param(b"SPIKEMAT" + struct.pack("<QQ", 3, 4) + b"\x00" * 95, "payload", id="truncated"),
+])
+def test_binary_rejects_a_short_file(tmp_path, content, reason):
+    # a ValueError, not struct.error, OverflowError or a failed reshape
+    path = tmp_path / "bad.bin"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match=reason):
+        matio.read_binary(path)
+
+
+def test_binary_read_holds_one_matrix(tmp_path):
+    N, n = 500, 1000
+    path = tmp_path / "m.bin"
+    matio.write_binary(path, Stream(2, "io").normals((N, n)))
+    tracemalloc.start()
+    try:
+        back = matio.read_binary(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.shape == (N, n)
+    assert peak <= N * n * 8 + 64 * 1024
+
+
+def test_csv_read_holds_one_matrix(tmp_path):
+    # loadtxt told the row count allocates once instead of growing its array
+    N, n = 500, 1000
+    path = tmp_path / "m.csv"
+    matio.write_csv(path, Stream(2, "io").normals((N, n)))
+    tracemalloc.start()
+    try:
+        back = matio.read_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.shape == (N, n)
+    assert peak <= N * n * 8 + 256 * 1024
+
+
+@pytest.mark.parametrize("payload, rows", [
+    ("1,2,3\n4,5,6\n7,8,9\n", None),  # more rows than the header's
+    ("1,2,3\n\n# note\n4,5,6\n\n", 2),  # blank and comment lines are no rows
+])
+def test_csv_row_count_against_the_header(tmp_path, payload, rows):
+    path = tmp_path / "m.csv"
+    path.write_text("2,3\n" + payload)
+    if rows is None:
+        with pytest.raises(ValueError, match="header says"):
+            matio.read_csv(path)
+    else:
+        np.testing.assert_array_equal(matio.read_csv(path), [[1, 2, 3], [4, 5, 6]])
+
+
+def test_binary_write_copies_nothing(tmp_path):
+    A = Stream(3, "io").normals((500, 1000))
+    tracemalloc.start()
+    try:
+        matio.write_binary(tmp_path / "m.bin", A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 1024
 
 
 def test_csv_header_mismatch(tmp_path):

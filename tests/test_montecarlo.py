@@ -234,6 +234,52 @@ class TestWorkerDefaults:
         assert cores.default_workers() == 3
 
 
+class _RecordingPool:
+    """A stand-in for ThreadPoolExecutor: records each pool, runs its tasks in the caller."""
+
+    pools = []
+
+    def __init__(self, max_workers):
+        self.record = {"max_workers": max_workers}
+        self.pools.append(self.record)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        items = list(items)
+        self.record["items"] = len(items)
+        return map(fn, items)
+
+
+class TestPoolCap:
+    @pytest.fixture(autouse=True)
+    def three_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(cores, "ThreadPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "pools", [])
+
+    @pytest.mark.parametrize("workers", [None, 100_000])
+    def test_fan_out_starts_at_most_one_thread_per_cpu(self, monkeypatch, workers):
+        monkeypatch.setenv("SPIKED_EIG_THREADS", "100000")
+        assert cores.fan_out(lambda i: i * i, range(50), workers) == [i * i for i in range(50)]
+        assert _RecordingPool.pools == [{"max_workers": 3, "items": 50}]
+
+    def test_reduce_rows_cuts_blocks_by_the_capped_count(self, monkeypatch, gaussian):
+        # 10^4 rows of 100 values: uncapped, 10^5 workers would cut one-row blocks
+        runs = {}
+        for threads in ("100000", "3"):
+            monkeypatch.setenv("SPIKED_EIG_THREADS", threads)
+            _RecordingPool.pools.clear()
+            rec = concentration_hw_check(100, gaussian, None, [10.0], 10_000, 4)
+            runs[threads] = list(_RecordingPool.pools), rec["samples_hw"]
+        assert runs["100000"][0] == runs["3"][0] == [{"max_workers": 3, "items": 4}]
+        np.testing.assert_array_equal(runs["100000"][1], runs["3"][1])
+
+
 @pytest.fixture
 def blas_count_two():
     """numpy's OpenBLAS set to two threads for the test, then put back."""
@@ -345,6 +391,26 @@ class TestConcentrationSM:
                 got = montecarlo._sm_singular_values(p, q, law, reps, 21)
                 for w, g in zip(want, got):
                     np.testing.assert_array_equal(g, w, err_msg=f"{p}x{q} {reps}")
+
+    @pytest.mark.parametrize("law", LAWS + [EntryLaw.two_point(0.5)], ids=lambda law: law.label())
+    @pytest.mark.parametrize("p, q", [(3, 1), (7, 3), (4, 2), (5, 2), (6, 6), (100, 100), (400, 40)])
+    def test_gram_reduction_matches_the_svd(self, law, p, q):
+        # the streaming tests' laws and shapes, q = p, and rank-deficient
+        # twopoint draws (repeated rows and columns)
+        a = law.sample(Stream(23, "sm-svd", p, q), (64 if p * q < 10_000 else 4, p, q))
+        s1, sq = montecarlo.extreme_singular_values(a)
+        s = np.linalg.svd(a, compute_uv=False)
+        scale = 1e-12 * s[:, 0] ** 2
+        assert np.all(np.abs(s1**2 - s[:, 0] ** 2) <= scale)
+        assert np.all(np.abs(sq**2 - s[:, -1] ** 2) <= scale)
+        assert np.all(np.isfinite(sq))
+
+    def test_gram_reduction_of_a_rank_deficient_matrix(self):
+        a = np.outer([1.0, 2.0, 3.0, 4.0], [1.0, -1.0, 0.5])[np.newaxis]
+        with np.errstate(invalid="raise"):
+            s1, sq = montecarlo.extreme_singular_values(a)
+        assert s1[0] == pytest.approx(np.linalg.norm(a[0], 2), rel=1e-14)
+        assert 0.0 <= sq[0] ** 2 <= 1e-12 * s1[0] ** 2
 
     @pytest.mark.parametrize("reps", [129, 163])
     def test_default_block_bit_identical(self, gaussian, reps):
