@@ -247,10 +247,13 @@ def cmd_check_identities(args) -> int:
     nu = args.nu if args.nu is not None else experiment_value(parser, "nu", int, 0)
     Z = model.sample_entry_matrix(spec.N, spec.n, spec.law, seed)
     bd = block_decompose(Z, spec.spikes)
-    # identity-frame covariance: the basis is rotated out so the A/B split is literal
-    Y = Z.copy()
-    Y[: spec.M, :] *= spec.sqrt_lambda()[:, np.newaxis]
-    eig = sym_eigen(sample_covariance(Y))
+    # identity-frame covariance: the basis is rotated out so the A/B split is
+    # literal. bd holds no view of Z, so its spike rows are scaled in place
+    # and the draw is dropped before the eigendecomposition.
+    Z[: spec.M] *= spec.sqrt_lambda()[:, np.newaxis]
+    S = sample_covariance(Z)
+    del Z
+    eig = sym_eigen(S)
     ortho = eig.vectors[:, : spec.M]
     r3 = float(np.max(np.abs(ortho.T @ ortho - np.eye(spec.M))))
     tol_scale = 1.0 if args.tol is None else args.tol / 1e-6
@@ -315,9 +318,7 @@ def cmd_concentration(args) -> int:
         if not (0 <= args.t_min < math.inf and 0 <= args.t_max < math.inf):
             raise ConfigInvalid(f"--t-min and --t-max must be finite and >= 0, got {args.t_min}, {args.t_max}")
         t_grid = np.linspace(args.t_min, args.t_max, args.t_count)
-        rec = concentration_hw_check(
-            args.p, law, None, t_grid, args.replicates, args.seed
-        )
+        rec = concentration_hw_check(args.p, law, t_grid, args.replicates, args.seed)
         out = {
             "t": rec["t"].tolist(),
             "tail_hw": rec["tail_hw"].tolist(),

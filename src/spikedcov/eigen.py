@@ -273,7 +273,8 @@ def sample_covariance(X: np.ndarray) -> np.ndarray:
 def block_decompose(Z: np.ndarray, spikes) -> BlockDecomposition:
     """Split Z into spike/bulk rows and factor the bulk via SVD.
 
-    Builds Z_A (first M rows of Z), Z_B (the rest), and the factorization
+    Builds Z_A (a copy of the first M rows of Z, so the result holds no
+    view of Z), Z_B (the rest), and the factorization
     (1/sqrt(n)) Z_B = V diag(sqrt(M_diag)) H^T with V square orthogonal and
     H of shape n x (N-M) whose first min(N-M, n) columns are orthonormal;
     when N - M > n the trailing (N-M) - n columns of H are zero.
@@ -284,7 +285,7 @@ def block_decompose(Z: np.ndarray, spikes) -> BlockDecomposition:
     N, n = Z.shape
     if not M < N:
         raise ConfigInvalid(f"need M < N, got M={M}, N={N}")
-    Z_A = Z[:M, :]
+    Z_A = Z[:M, :].copy()
     Z_B = Z[M:, :]
     B = Z_B / np.sqrt(n)
     p = N - M

@@ -200,19 +200,29 @@ def simulate_instance(
 
 
 def _replicate_value(config: ExperimentConfig, r: int, x_shift: float):
-    """One clt or eigvec replicate's statistic value, or a guard flag."""
+    """One replicate's (value, guard flag or None, seed); a flagged value is NaN.
+
+    The value of a clt or eigvec statistic is a float; that of consistency
+    is the 2 x M array of max_{k <= nu} |l_hat_k / l_k - 1| and
+    <p_nu, u_nu>^2 over nu = 1..M.
+    """
     spec, stat, nu = config.spec, config.statistic, config.nu
     seed = config.replicate_seed(r)
     try:
         trace_nu = nu if stat in ("clt_mixed", "clt_statistical") else None
-        inst = simulate_instance(spec, seed, stat in EIGVEC_STATISTICS, trace_nu)
+        inst = simulate_instance(spec, seed, stat not in CLT_STATISTICS, trace_nu)
         if stat in CLT_STATISTICS:
             l_hat_nu = float(inst.l_hat[nu - 1])
             l_nu = float(spec.spikes[nu - 1])
             bulk = inst.bulk_trace if trace_nu else ctr.oracle_centering(l_nu, spec.N, spec.M, spec.n)
             c = ctr.clt_centering(stat[4:], nu, spec.n, bulk, x_shift, inst.l_hat)
             return ctr.clt_statistic_value(l_hat_nu, l_nu, c, spec.law, spec.n), None, seed
-        al = alignment(EigenSystem(inst.l_hat, inst.vectors), None, spec.spikes, nu)
+        eig = EigenSystem(inst.l_hat, inst.vectors)
+        if stat == "consistency":
+            max_err = np.maximum.accumulate(np.abs(inst.l_hat / spec.spikes - 1.0))
+            inner = [alignment(eig, None, spec.spikes, k).inner for k in range(1, spec.M + 1)]
+            return np.vstack([max_err, np.square(inner)]), None, seed
+        al = alignment(eig, None, spec.spikes, nu)
         source = inst.l_hat if config.empirical else spec.spikes
         es = eigvec_statistic(al, source, nu, spec.n, spec.N, spec.M, stat[7:], config.empirical)
         return es.value, None, seed
@@ -299,21 +309,14 @@ def consistency_report(config: ExperimentConfig) -> dict:
         if not check_separation(spec, nu, config.eps0).separated:
             flags.append(f"not_separated:{nu}")
 
-    def one(r: int):
-        seed = config.replicate_seed(r)
-        try:
-            inst = simulate_instance(spec, seed, need_vectors=True)
-        except REPLICATE_FAULTS as exc:
-            return np.full(spec.M, math.nan), np.full(spec.M, math.nan), seed, type(exc).__name__
-        rel = np.abs(inst.l_hat / spec.spikes - 1.0)
-        max_err = np.maximum.accumulate(rel)
-        inner_sq = inst.vectors[np.arange(spec.M), np.arange(spec.M)] ** 2
-        return max_err, inner_sq, seed, None
-
-    results = fan_out(one, range(config.replicates), config.workers)
-    max_errs = np.vstack([r[0] for r in results])
-    inners = np.vstack([r[1] for r in results])
-    replicate_flags = [r[3] for r in results]
+    results = fan_out(
+        lambda r: _replicate_value(config, r, 0.0),
+        range(config.replicates),
+        config.workers,
+    )
+    # a flagged replicate's NaN value spreads to a NaN row of each
+    max_errs, inners = np.stack([np.broadcast_to(v, (2, spec.M)) for v, _, _ in results], axis=1)
+    replicate_flags = [flag for _, flag, _ in results]
     ok = np.array([f is None for f in replicate_flags])
 
     def median(values: np.ndarray) -> np.ndarray:
@@ -328,7 +331,7 @@ def consistency_report(config: ExperimentConfig) -> dict:
         "per_replicate_flags": replicate_flags,
         "successes": int(ok.sum()),
         "flagged": int((~ok).sum()),
-        "seeds": [r[2] for r in results],
+        "seeds": [seed for _, _, seed in results],
         "nu": config.nu,
     }
 
@@ -463,39 +466,22 @@ def concentration_sm_check(
 _HW_BLOCK = 1 << 17
 
 
-def concentration_hw_check(
-    p: int,
-    law,
-    matrixC: np.ndarray | None,
-    t_grid,
-    reps: int,
-    seed: int,
-) -> dict:
-    """Empirical tails of y^T C y - E and of the decoupled form y^T C y'.
+def concentration_hw_check(p: int, law, t_grid, reps: int, seed: int) -> dict:
+    """Empirical tails of y^T C y - E and of the decoupled form y^T C y', C = I_p.
 
-    For each t the report carries P(|y^T C y - tr C| >= t) and
-    P(|y^T C y'| >= t) next to the bound shape
-    min(t^2 / (p ||C||^2), t / ||C||); the fitted constant is the largest c
-    with empirical tail <= 2 exp(-c shape(t)) across the grid. ``matrixC``
-    None is the p x p identity, and y C = y is not formed.
+    For each t the report carries P(|y^T y - p| >= t) and P(|y^T y'| >= t)
+    next to the bound shape min(t^2 / (p ||C||^2), t / ||C||) =
+    min(t^2 / p, t); the fitted constant is the largest c with empirical
+    tail <= 2 exp(-c shape(t)) across the grid.
 
     The reps x p draws y and y2 are made in blocks at their stream offsets
     and reduced row by row (``_reduce_rows``), so memory is
-    O(workers x block), not O(reps p). With ``matrixC`` None the result is
-    bit-identical to one whole draw of each; otherwise ``y C`` is formed by
-    blocks of rows, and ``samples_hw`` agrees with the whole-matrix product
-    to 1e-12 of max |y^T C y|.
+    O(workers x block), not O(reps p), and the result is bit-identical to
+    one whole draw of each.
     """
     if p < 1 or reps < 1:
         raise ConfigInvalid(f"need p, reps >= 1, got ({p}, {reps})")
-    if matrixC is None:
-        opnorm, trace = 1.0, float(p)
-    else:
-        C = np.asarray(matrixC, dtype=np.float64)
-        if C.shape != (p, p):
-            raise ConfigInvalid(f"matrixC must be {p}x{p}, got {C.shape}")
-        opnorm = float(np.linalg.norm(C, 2)) if np.any(C) else 0.0
-        trace = float(np.trace(C))
+    trace = float(p)
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if not np.all(np.isfinite(t_grid) & (t_grid >= 0.0)):
         raise ConfigInvalid(f"every t must be finite and >= 0, got {t_grid.tolist()}")
@@ -507,17 +493,13 @@ def concentration_hw_check(
 
     def reduce(rows, y: np.ndarray, y2: np.ndarray) -> None:
         y, y2 = y.reshape(-1, p), y2.reshape(-1, p)
-        yC = y if matrixC is None else y @ C
-        quad[rows] = np.einsum("ij,ij->i", yC, y)
-        cross[rows] = np.einsum("ij,ij->i", yC, y2)
+        quad[rows] = np.einsum("ij,ij->i", y, y)
+        cross[rows] = np.einsum("ij,ij->i", y, y2)
 
     _reduce_rows(law, stream, p, _HW_BLOCK, [(0, count, (0, used))], reduce)
     tail_hw = np.array([np.mean(np.abs(quad - trace) >= t) for t in t_grid])
     tail_ahw = np.array([np.mean(np.abs(cross) >= t) for t in t_grid])
-    if opnorm > 0.0:
-        shape = np.minimum(t_grid**2 / (p * opnorm**2), t_grid / opnorm)
-    else:
-        shape = np.zeros_like(t_grid)
+    shape = np.minimum(t_grid**2 / p, t_grid)
 
     def fitted(tails: np.ndarray) -> float:
         cs = [
@@ -535,7 +517,6 @@ def concentration_hw_check(
         "c_hw": fitted(tail_hw),
         "c_ahw": fitted(tail_ahw),
         "trace": trace,
-        "opnorm": opnorm,
         "samples_hw": quad - trace,
         "reps": reps,
     }

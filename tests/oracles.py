@@ -253,7 +253,7 @@ def ecdf(sample):
     return cdf
 
 
-def hw_unstreamed(p, law, matrixC, t_grid, reps, seed):
+def hw_unstreamed(p, law, t_grid, reps, seed):
     """concentration_hw_check's samples and tails from whole draws of y and y2.
 
     The formula the streamed check replaced: both reps x p draws held at
@@ -262,12 +262,9 @@ def hw_unstreamed(p, law, matrixC, t_grid, reps, seed):
     stream = Stream(seed, "concentration-hw", p, law.label())
     y = law.sample(stream, (reps, p))
     y2 = law.sample(stream, (reps, p))
-    if matrixC is None:
-        yC, trace = y, float(p)
-    else:
-        yC, trace = y @ np.asarray(matrixC, dtype=np.float64), float(np.trace(matrixC))
-    quad = np.einsum("ij,ij->i", yC, y)
-    cross = np.einsum("ij,ij->i", yC, y2)
+    trace = float(p)
+    quad = np.einsum("ij,ij->i", y, y)
+    cross = np.einsum("ij,ij->i", y, y2)
     return {
         "samples_hw": quad - trace,
         "cross": cross,

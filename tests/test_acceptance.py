@@ -427,7 +427,7 @@ def test_criterion_9_concentration():
         cfg["sm"]["replicates"], cfg["sm"]["seed"], C=cfg["sm"]["C"],
     )
     hw = concentration_hw_check(
-        cfg["hw"]["p"], law, np.eye(cfg["hw"]["p"]),
+        cfg["hw"]["p"], law,
         np.asarray(cfg["hw"]["t_grid"], dtype=float),
         cfg["hw"]["replicates"], cfg["hw"]["seed"],
     )
@@ -512,7 +512,7 @@ def test_criterion_10_determinism():
         law = EntryLaw.gaussian()
         sm = concentration_sm_check(50, 10, law, 3.0, 100, seed=ACC["concentration"]["sm"]["seed"])
         h.update(json.dumps(sm, sort_keys=True).encode())
-        hw = concentration_hw_check(40, law, np.eye(40), [5.0, 10.0], 2000,
+        hw = concentration_hw_check(40, law, [5.0, 10.0], 2000,
                                     seed=ACC["concentration"]["hw"]["seed"])
         h.update(hw["samples_hw"].tobytes())
         digests.append(h.hexdigest())

@@ -281,6 +281,22 @@ class TestCheckIdentities:
     def test_zero_tolerance_fails(self, desk_config):
         assert main(["check-identities", "--config", desk_config, "--tol", "0"]) == 4
 
+    def test_holds_one_draw(self):
+        # 500 x 1000: the 4 MB draw is scaled in place, not copied, and is
+        # dropped once S exists, before the eigendecomposition
+        argv = ["check-identities", "--config", str(CLT_ORACLE_DESK), "--nu", "1"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(argv)  # warm-up: caches and imports are not the command's
+            gc.collect()
+            tracemalloc.start()
+            try:
+                rc = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert rc == 0
+        assert peak <= 20e6
+
 
 class TestConsistency:
     def test_report_written(self, tmp_path, desk_config):

@@ -4,6 +4,9 @@ A public module-level function that is referenced nowhere in ``src/``
 outside its own definition, and nowhere in ``perfbench/``, serves only the
 tests: it belongs in ``tests/oracles.py``. References are ``ast`` names
 and attributes, so a mention in a docstring or comment does not count.
+
+Every simulated statistic also runs through one replicate function: the
+kernel has one call site and the replicate faults one handler.
 """
 
 import ast
@@ -69,3 +72,38 @@ def test_allowlist_holds_only_unreached_functions():
     names = {name for _, name in _public_functions()}
     stale = sorted(name for name in ALLOWED if name not in names or counts[name])
     assert not stale, f"drop from ALLOWED, gone or now called: {stale}"
+
+
+def _package_trees():
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
+
+
+def _calls(node, name: str) -> bool:
+    return any(
+        isinstance(call, ast.Call) and name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+        for call in ast.walk(node)
+    )
+
+
+def test_one_function_runs_the_replicate_kernel():
+    # a nested function counts with each function around it
+    callers = [
+        getattr(fn, "name", "<lambda>")
+        for tree in _package_trees()
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        and _calls(fn, "simulate_instance")
+    ]
+    assert callers == ["_replicate_value"], f"simulate_instance called from {callers}"
+
+
+def test_one_handler_catches_replicate_faults():
+    handlers = [
+        node
+        for tree in _package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler)
+        and node.type is not None
+        and any(isinstance(n, ast.Name) and n.id == "REPLICATE_FAULTS" for n in ast.walk(node.type))
+    ]
+    assert len(handlers) == 1, f"{len(handlers)} except clauses catch REPLICATE_FAULTS"
