@@ -9,7 +9,7 @@ all-ones M x M matrix,
              (-R_nu Lambda^{1/2} Itilde Lambda^{1/2} + n z l_nu R_nu)^j
              R_nu Lambda^{1/2} Itilde,
 
-three scalar polynomials a, b, c are read off Mnu, and
+three scalar polynomials a, b, c are read off its column nu, and
 
     F(y) = P(y) sum_{0 <= j <= s} Q(y)^j,  P = sum (2a_i + b_i + c_i) y^i,
                                            Q = sum b_i y^i.
@@ -65,62 +65,49 @@ def spike_resolvent(spikes, nu: int) -> np.ndarray:
 
 
 def matrix_polynomial_Mnu(spikes, nu: int, n: int, s: int) -> np.ndarray:
-    """Coefficients of Mnu(z) as an array of shape (s+1, M, M).
+    """Column nu of the coefficients of Mnu(z), as an array of shape (s+1, M).
 
-    Computed by iterating P_j = (A + z B) P_{j-1} with
-    A = -R_nu Lambda^{1/2} Itilde Lambda^{1/2} and B = n l_nu R_nu diagonal;
-    row nu of every coefficient is identically zero because the leftmost
-    resolvent factor annihilates it.
+    Itilde is all ones, so every column of Mnu is this one. It is iterated
+    as p_j = (A + z B) p_{j-1} from p_0 = u = R_nu Lambda^{1/2} 1, where
+    A = -R_nu Lambda^{1/2} Itilde Lambda^{1/2} has rank one, A p = -u (sqrt(l) . p),
+    and B = n l_nu R_nu is diagonal. Entry nu is zero: R_nu annihilates it.
     """
     ls = np.asarray(spikes, dtype=np.float64)
-    M = len(ls)
     r = spike_resolvent(ls, nu)
     sqrt_l = np.sqrt(ls)
-    l_nu = ls[nu - 1]
-    # A[k, i] = -sqrt(l_k l_i) / (l_k - l_nu), zero row at nu
-    A = -np.outer(r * sqrt_l, sqrt_l)
-    b_diag = n * l_nu * r
-    # P_0 = R_nu Lambda^{1/2} Itilde: column-constant
-    P = [np.tile((r * sqrt_l)[:, np.newaxis], (1, M))]
-    coeffs = np.zeros((s + 1, M, M))
-    coeffs[0] = P[0] / n
+    u = r * sqrt_l
+    b_diag = n * ls[nu - 1] * r
+    P = u[np.newaxis, :]  # row d: the z^d coefficient of p_j
+    coeffs = np.zeros((s + 1, len(ls)))
+    coeffs[0] = u / n
     for j in range(1, s + 1):
-        nxt = [A @ P[0]]
-        for d in range(1, j):
-            nxt.append(A @ P[d] + b_diag[:, np.newaxis] * P[d - 1])
-        nxt.append(b_diag[:, np.newaxis] * P[j - 1])
+        nxt = np.zeros((j + 1, len(ls)))
+        nxt[:j] = -np.outer(P @ sqrt_l, u)
+        nxt[1:] += b_diag * P
         P = nxt
-        inv = n ** -(j + 1.0)
-        for d in range(j + 1):
-            coeffs[d] += inv * P[d]
-    coeffs *= sqrt_l[np.newaxis, :, np.newaxis]
+        coeffs[: j + 1] += n ** -(j + 1.0) * P
+    coeffs *= sqrt_l
     return coeffs
 
 
-def abc_coefficients(poly: np.ndarray, spikes, nu: int, n: int):
-    """The three scalar polynomials (a, b, c) read off Mnu(z).
+def abc_coefficients(col: np.ndarray, spikes, nu: int, n: int):
+    """The three scalar polynomials (a, b, c) read off column nu of Mnu(z).
 
     a_i = -sum_{k != nu} (Mnu)_{k nu} at degree i (zero above s by
     convention); b from -n l_nu (Mnu^T Lambda^{-1} Mnu)_{nu nu}; c from
-    n (Mnu^T Mnu)_{nu nu} + (Mnu^T Itilde Mnu)_{nu nu}. All returned with
-    degrees 0..2s (coefficient convolution for the quadratic forms).
+    n (Mnu^T Mnu)_{nu nu} + (Mnu^T Itilde Mnu)_{nu nu}. The degree-d
+    coefficient of a quadratic form is the sum of the anti-diagonal
+    i + j = d of an (s+1) x (s+1) Gram matrix of the column's coefficients.
+    All returned with degrees 0..2s.
     """
     ls = np.asarray(spikes, dtype=np.float64)
-    s = poly.shape[0] - 1
-    l_nu = ls[nu - 1]
-    cols = poly[:, :, nu - 1]  # (s+1, M): column nu of each coefficient
-    deg = 2 * s
-    a = np.zeros(deg + 1)
-    a[: s + 1] = -(np.sum(cols, axis=1) - cols[:, nu - 1])
-    b = np.zeros(deg + 1)
-    c = np.zeros(deg + 1)
-    inv_l = 1.0 / ls
-    col_sums = np.sum(cols, axis=1)
-    for i in range(s + 1):
-        for j in range(s + 1):
-            d = i + j
-            b[d] -= n * l_nu * np.dot(cols[i] * inv_l, cols[j])
-            c[d] += n * np.dot(cols[i], cols[j]) + col_sums[i] * col_sums[j]
+    s = col.shape[0] - 1
+    sums = np.sum(col, axis=1)  # entry nu is zero, so this is the sum over k != nu
+    a = np.zeros(2 * s + 1)
+    a[: s + 1] = -sums
+    degree = np.add.outer(np.arange(s + 1), np.arange(s + 1)).ravel()
+    b = np.bincount(degree, (-n * ls[nu - 1] * (col / ls) @ col.T).ravel(), 2 * s + 1)
+    c = np.bincount(degree, (n * col @ col.T + np.outer(sums, sums)).ravel(), 2 * s + 1)
     return a, b, c
 
 
@@ -143,8 +130,8 @@ def polynomial_coefficients(spikes, nu: int, n: int) -> PolynomialCoefficients:
     ls = np.atleast_1d(np.asarray(spikes, dtype=np.float64))
     s = truncation_order(n, len(ls))
     with np.errstate(over="ignore", invalid="ignore"):
-        poly = matrix_polynomial_Mnu(ls, nu, n, s)
-        a, b, c = abc_coefficients(poly, ls, nu, n)
+        col = matrix_polynomial_Mnu(ls, nu, n, s)
+        a, b, c = abc_coefficients(col, ls, nu, n)
     return PolynomialCoefficients(s=s, a=a, b=b, c=c)
 
 
@@ -208,11 +195,11 @@ def iterate_x_expansion(coeffs: PolynomialCoefficients, k0: int) -> float:
 
 
 def statistical_centering(l_hat, nu: int, n: int) -> float:
-    """(1/n) sum_{k != nu} l_hat_k / (l_hat_k - l_hat_nu), exactly as written."""
+    """(1/n) sum_{k != nu} l_hat_k / (l_hat_nu - l_hat_k), x's leading term at l = l_hat."""
     lh = np.atleast_1d(np.asarray(l_hat, dtype=np.float64))
     l_nu = lh[nu - 1]
     mask = np.arange(len(lh)) != nu - 1
-    gaps = lh[mask] - l_nu
+    gaps = l_nu - lh[mask]
     if np.any(np.abs(gaps) < 1e-12 * max(abs(l_nu), 1.0)):
         raise TiedEigenvalues(f"a sample eigenvalue ties l_hat_{nu} = {l_nu:g}")
     return float(np.sum(lh[mask] / gaps) / n)
@@ -225,38 +212,43 @@ def oracle_centering(l_nu: float, N: int, M: int, n: int) -> float:
     return (N - M) / (n * (l_nu - 1.0))
 
 
-def resolve_x_mode(x_mode: str | None, n: int, M: int) -> str:
-    """Default policy: drop x when M <= sqrt(n)/4 (small-spike-count regime)."""
-    if x_mode is None or x_mode == "auto":
-        return "zero" if M <= math.sqrt(n) / 4.0 else "root"
-    return x_mode
+def deterministic_shift(spikes, nu: int, n: int, x_mode: str | None) -> tuple[float, float, str]:
+    """(x, |x - F(x)|, resolved mode) for x_mode "zero", "root", "iter:k0", "auto" or None.
 
-
-def deterministic_shift(spikes, nu: int, n: int, x_mode: str, coeffs=None) -> float:
-    """x per x_mode: "zero", "root" or "iter:k0"; ``coeffs`` reuses built coefficients."""
+    "zero" returns (0.0, 0.0, "zero") and builds nothing. Every other mode
+    builds the coefficients once. "auto" and None resolve to "root" where
+    ``solve_x`` certifies a root and to "zero" where it raises NoRoot; an
+    explicit "root" lets NoRoot propagate.
+    """
     if x_mode == "zero":
-        return 0.0
-    if coeffs is None:
-        coeffs = polynomial_coefficients(spikes, nu, n)
-    if x_mode == "root":
-        return solve_x(coeffs)
-    if x_mode.startswith("iter:"):
-        return iterate_x_expansion(coeffs, int(x_mode.split(":", 1)[1]))
-    raise ConfigInvalid(f"unknown x_mode {x_mode!r}")
+        return 0.0, 0.0, "zero"
+    coeffs = polynomial_coefficients(spikes, nu, n)
+    if x_mode in (None, "auto"):
+        try:
+            x_mode, x = "root", solve_x(coeffs)
+        except NoRoot:
+            return 0.0, 0.0, "zero"
+    elif x_mode == "root":
+        x = solve_x(coeffs)
+    elif x_mode.startswith("iter:"):
+        x = iterate_x_expansion(coeffs, int(x_mode.split(":", 1)[1]))
+    else:
+        raise ConfigInvalid(f"unknown x_mode {x_mode!r}")
+    return x, root_residual(coeffs, x), x_mode
 
 
-def clt_centering(mode: str, nu: int, n: int, bulk, x: float, l_hat=None) -> float:
+def clt_centering(mode: str, spikes, nu: int, n: int, N: int, bulk, x: float, l_hat=None) -> float:
     """The CLT centering: empirical, deterministic, or a sum of both.
 
     mode "mixed" is the trace term + x, "statistical" the trace term + the
     empirical spike sum (needs the top-M sample eigenvalues ``l_hat``; x is
-    unused), "oracle" the deterministic bulk term + x. For the two trace
-    modes ``bulk`` is tr(S_BB (l_hat_nu I - S_BB)^{-1}), the sum of
-    m / (l_hat_nu - m) over the S_BB spectrum, and the trace term is
-    bulk / n; for "oracle" it is the oracle term itself.
+    unused), "oracle" the deterministic bulk term ``oracle_centering`` + x.
+    ``bulk`` is tr(S_BB (l_hat_nu I - S_BB)^{-1}), the sum of
+    m / (l_hat_nu - m) over the S_BB spectrum, or None for "oracle", which
+    does not read it; the trace term is bulk / n.
     """
     if mode == "oracle":
-        return bulk + x
+        return oracle_centering(spikes[nu - 1], N, len(spikes), n) + x
     if mode == "mixed":
         return bulk / n + x
     if mode == "statistical":
@@ -291,21 +283,14 @@ def clt_statistics(
 
     mode "mixed" uses trace + x, "statistical" uses trace + the empirical
     spike sum (needs the full l_hat vector), "oracle" uses the deterministic
-    bulk term + x. x_mode in {"root", "iter:k0", "zero", "auto"}; the
-    default drops x when M <= sqrt(n)/4.
+    bulk term + x; x comes from ``deterministic_shift`` under x_mode.
     """
     ls = np.atleast_1d(np.asarray(spikes, dtype=np.float64))
-    n, M, nu = bd.n, len(ls), al.nu
-    l_nu = ls[nu - 1]
-    x = 0.0
-    if mode != "statistical":
-        x = deterministic_shift(ls, nu, n, resolve_x_mode(x_mode, n, M))
-    if mode == "oracle":
-        bulk = oracle_centering(l_nu, bd.N, M, n)
-    else:
-        bulk = np.sum(shifted_resolvent_diag(bd.M_diag, al.l_hat))
-    centering = clt_centering(mode, nu, n, bulk, x, l_hat)
-    return clt_statistic_value(al.l_hat, l_nu, centering, law, n)
+    n, nu = bd.n, al.nu
+    x = 0.0 if mode == "statistical" else deterministic_shift(ls, nu, n, x_mode)[0]
+    bulk = None if mode == "oracle" else np.sum(shifted_resolvent_diag(bd.M_diag, al.l_hat))
+    centering = clt_centering(mode, ls, nu, n, bd.N, bulk, x, l_hat)
+    return clt_statistic_value(al.l_hat, ls[nu - 1], centering, law, n)
 
 
 @dataclass

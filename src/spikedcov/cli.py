@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("clt", help="eigenvalue CLT experiment")
     experiment(c)
     c.add_argument("--mode", choices=["mixed", "statistical", "oracle"], default=None)
-    c.add_argument("--x-mode", default=None, help="root | iter:<k0> | zero | auto")
+    c.add_argument("--x-mode", default=None, help="root | iter:<k0> | zero | auto (certified root, else 0)")
     c.set_defaults(fn=cmd_clt)
 
     v = sub.add_parser("eigvec", help="eigenvector consistency experiment")

@@ -16,12 +16,13 @@ One INI-style file per experiment with two sections::
     nu = 1
     replicates = 400
     master_seed = 20260810
-    x_mode = zero                              ; root | iter:<k0> | zero | auto
+    x_mode = zero                              ; root | iter:<k0> | zero | auto (= absent)
     empirical = false
     eps0 = 0.1
 
 Command-line flags override file values; precedence is flag > file > default.
 A key left blank (``master_seed =``) counts as absent and takes its default.
+``x_mode = auto`` is the certified root, else zero and an x_not_certified flag.
 The statistic must belong to the command that runs it (clt_mixed,
 clt_statistical, clt_oracle; eigvec_A/B/C1/C2; consistency), or the
 command stops with a config error.

@@ -93,14 +93,18 @@ class Alignment:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip columns so each vector's largest-|.| component is positive.
+    """Flip columns in place so each vector's largest-|.| component is positive.
 
-    Ties resolve to the first index attaining the maximum (np.argmax order).
+    The largest |.| of a column is at its argmax or its argmin; on a tie the
+    smaller index wins, the first index attaining the maximum that
+    np.argmax(np.abs(v)) picks, without forming |v|.
     """
-    idx = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
-    signs[signs == 0.0] = 1.0
-    return vectors * signs[np.newaxis, :]
+    cols = np.arange(vectors.shape[1])
+    hi, lo = np.argmax(vectors, axis=0), np.argmin(vectors, axis=0)
+    top, bottom = np.abs(vectors[hi, cols]), np.abs(vectors[lo, cols])
+    idx = np.where(top > bottom, hi, np.where(bottom > top, lo, np.minimum(hi, lo)))
+    vectors *= np.where(vectors[idx, cols] < 0.0, -1.0, 1.0)
+    return vectors
 
 
 def sym_eigen(A: np.ndarray) -> EigenSystem:
@@ -122,8 +126,11 @@ def sym_eigen(A: np.ndarray) -> EigenSystem:
         values, vectors = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(str(exc)) from exc
-    order = np.arange(len(values))[::-1]  # eigh is ascending; ties keep input order
-    return EigenSystem(values=values[order].copy(), vectors=_fix_signs(vectors[:, order]))
+    # eigh is ascending; ties keep input order. Rows are reversed in place: a
+    # reversed view would change how BLAS reads, and so rounds, products with it
+    for row in vectors:
+        row[:] = row[::-1]
+    return EigenSystem(values=values[::-1].copy(), vectors=_fix_signs(vectors))
 
 
 @functools.cache

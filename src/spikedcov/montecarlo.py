@@ -212,10 +212,10 @@ def _replicate_value(config: ExperimentConfig, r: int, x_shift: float):
         trace_nu = nu if stat in ("clt_mixed", "clt_statistical") else None
         inst = simulate_instance(spec, seed, stat not in CLT_STATISTICS, trace_nu)
         if stat in CLT_STATISTICS:
-            l_hat_nu = float(inst.l_hat[nu - 1])
-            l_nu = float(spec.spikes[nu - 1])
-            bulk = inst.bulk_trace if trace_nu else ctr.oracle_centering(l_nu, spec.N, spec.M, spec.n)
-            c = ctr.clt_centering(stat[4:], nu, spec.n, bulk, x_shift, inst.l_hat)
+            c = ctr.clt_centering(
+                stat[4:], spec.spikes, nu, spec.n, spec.N, inst.bulk_trace, x_shift, inst.l_hat
+            )
+            l_hat_nu, l_nu = float(inst.l_hat[nu - 1]), float(spec.spikes[nu - 1])
             return ctr.clt_statistic_value(l_hat_nu, l_nu, c, spec.law, spec.n), None, seed
         eig = EigenSystem(inst.l_hat, inst.vectors)
         if stat == "consistency":
@@ -242,14 +242,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         config_flags.append("no_divergent_spike")
     x_shift, row_extra, extra = 0.0, {}, {}
     if config.statistic in ("clt_mixed", "clt_oracle"):
-        # one build of the polynomial coefficients serves x and its residual
         spec = config.spec
-        mode = ctr.resolve_x_mode(config.x_mode, spec.n, spec.M)
-        residual = 0.0
-        if mode != "zero":
-            coeffs = ctr.polynomial_coefficients(spec.spikes, config.nu, spec.n)
-            x_shift = ctr.deterministic_shift(spec.spikes, config.nu, spec.n, mode, coeffs)
-            residual = ctr.root_residual(coeffs, x_shift)
+        x_shift, residual, mode = ctr.deterministic_shift(spec.spikes, config.nu, spec.n, config.x_mode)
+        if mode == "zero" and config.x_mode != "zero":
+            config_flags.append("x_not_certified")  # auto found no certified root
         row_extra = {"x": x_shift, "x_residual": residual}
         extra = dict(row_extra, x_mode=mode)
 

@@ -16,7 +16,6 @@ from spikedcov.centering import (
     matrix_polynomial_Mnu,
     oracle_centering,
     polynomial_coefficients,
-    resolve_x_mode,
     root_residual,
     series_expansion_check,
     solve_x,
@@ -66,15 +65,15 @@ class TestMatrixPolynomial:
         assert not np.any(poly)
 
     def test_hand_value_s0(self):
-        poly = matrix_polynomial_Mnu([10.0, 2.0], 1, 100, 0)
-        assert poly.shape == (1, 2, 2)
-        assert poly[0][1, 0] == pytest.approx(-0.0025, abs=1e-18)
+        col = matrix_polynomial_Mnu([10.0, 2.0], 1, 100, 0)
+        assert col.shape == (1, 2)
+        assert col[0][1] == pytest.approx(-0.0025, abs=1e-18)
 
     def test_row_nu_vanishes(self):
         spikes = np.array([40.0, 20.0, 10.0, 5.0, 2.0])
         for nu in (1, 3, 5):
-            poly = matrix_polynomial_Mnu(spikes, nu, 500, 4)
-            assert np.max(np.abs(poly[:, nu - 1, :])) == 0.0
+            col = matrix_polynomial_Mnu(spikes, nu, 500, 4)
+            assert np.max(np.abs(col[:, nu - 1])) == 0.0
 
     def test_not_separated(self):
         with pytest.raises(NotSeparated):
@@ -285,14 +284,23 @@ class TestElementaryCenterings:
             bulk_trace(np.diag([9.0, 2.0]), 1, 2.0)
 
     def test_statistical_two_spikes(self):
-        assert statistical_centering([10.0, 2.0], 1, 100) == pytest.approx(-0.0025, rel=1e-15)
+        # (1/n) l_hat_2 / (l_hat_1 - l_hat_2) = 2 / 8 / 100
+        assert statistical_centering([10.0, 2.0], 1, 100) == pytest.approx(0.0025, rel=1e-15)
 
     def test_statistical_single_spike_empty_sum(self):
         assert statistical_centering([10.0], 1, 100) == 0.0
 
     def test_statistical_three_spikes(self):
         got = statistical_centering([10.0, 5.0, 2.0], 2, 10)
-        assert got == pytest.approx((10.0 / 5.0 + 2.0 / -3.0) / 10.0, rel=1e-14)
+        assert got == pytest.approx((10.0 / -5.0 + 2.0 / 3.0) / 10.0, rel=1e-14)
+
+    @pytest.mark.parametrize("n, M, ratio", [(500, 22, 1.15), (1000, 32, 1.15), (1000, 8, 2.0)])
+    def test_statistical_has_the_sign_of_x(self, n, M, ratio):
+        # at l_hat = l the statistical sum is x's leading term, so it shares x's sign
+        spikes = geometric_spikes(n, M, ratio, 0.9)
+        for nu in (1, M):
+            x = solve_x(polynomial_coefficients(spikes, nu, n))
+            assert np.sign(statistical_centering(spikes, nu, n)) == np.sign(x) != 0.0
 
     def test_statistical_ties(self):
         with pytest.raises(TiedEigenvalues):
@@ -306,23 +314,53 @@ class TestElementaryCenterings:
 
 
 class TestXModePolicy:
-    def test_small_m_defaults_to_zero(self):
-        assert resolve_x_mode(None, 10_000, 10) == "zero"
-        assert resolve_x_mode("auto", 10_000, 10) == "zero"
+    """deterministic_shift returns (x, |x - F(x)|, resolved mode)."""
+
+    SPIKES = (1000**0.8) * np.array([4.0, 2.0, 1.0])
+    # n = 200, M = 16, ratio 1.11, nu = 16: every fixed point repels, NoRoot
+    REPELLING = (geometric_spikes(200, 16, 1.11, 0.9), 16, 200)
+
+    def test_zero_builds_nothing(self, monkeypatch):
+        import spikedcov.centering as ctr
+
+        monkeypatch.setattr(ctr, "polynomial_coefficients", None)
+        assert deterministic_shift(self.SPIKES, 1, 1000, "zero") == (0.0, 0.0, "zero")
+
+    @pytest.mark.parametrize("x_mode", [None, "auto", "root"])
+    def test_auto_is_the_certified_root(self, x_mode):
+        # M = 3 <= sqrt(1000)/4, where auto used to drop x
+        coeffs = polynomial_coefficients(self.SPIKES, 1, 1000)
+        x, residual, mode = deterministic_shift(self.SPIKES, 1, 1000, x_mode)
+        assert (x, mode) == (solve_x(coeffs), "root")
+        assert residual == root_residual(coeffs, x)
+        assert x > 0.0
 
     def test_large_m_defaults_to_root(self):
-        assert resolve_x_mode(None, 10_000, 100) == "root"
+        spikes = geometric_spikes(10_000, 100, 1.15, 0.9)
+        x, residual, mode = deterministic_shift(spikes, 1, 10_000, None)
+        assert mode == "root"
+        assert residual <= 1e-13 * (1.0 + abs(x))
+
+    @pytest.mark.parametrize("x_mode", [None, "auto"])
+    def test_auto_without_a_root_is_zero(self, x_mode):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert deterministic_shift(*self.REPELLING, x_mode) == (0.0, 0.0, "zero")
 
     def test_explicit_override(self):
-        assert resolve_x_mode("iter:3", 10_000, 10) == "iter:3"
+        # an explicit root or iteration is never dropped to zero
+        with pytest.raises(NoRoot):
+            deterministic_shift(*self.REPELLING, "root")
+        assert deterministic_shift(self.SPIKES, 1, 1000, "iter:3")[2] == "iter:3"
 
     def test_deterministic_shift_modes(self):
-        n = 1000
-        spikes = (n**0.8) * np.array([4.0, 2.0, 1.0])
-        assert deterministic_shift(spikes, 1, n, "zero") == 0.0
-        x_root = deterministic_shift(spikes, 1, n, "root")
-        x_iter = deterministic_shift(spikes, 1, n, "iter:4")
+        x_root = deterministic_shift(self.SPIKES, 1, 1000, "root")[0]
+        x_iter, residual, mode = deterministic_shift(self.SPIKES, 1, 1000, "iter:4")
+        assert mode == "iter:4"
         assert abs(x_root - x_iter) <= 1e-8
+        assert residual == root_residual(polynomial_coefficients(self.SPIKES, 1, 1000), x_iter)
+        with pytest.raises(ConfigInvalid):
+            deterministic_shift(self.SPIKES, 1, 1000, "newton")
 
 
 @pytest.fixture(scope="module")
@@ -383,21 +421,28 @@ class TestCltCentering:
 
     BULK = np.array([0.5, 1.0, 2.0])
 
+    SPIKES = np.array([40.0, 21.0, 9.0])
+
     def test_each_mode_is_its_two_terms(self):
         l_hat = np.array([50.0, 20.0, 8.0])
         trace = np.sum(shifted_resolvent_diag(self.BULK, 20.0))
         tr = trace_term(self.BULK, 20.0, 100)
-        assert clt_centering("mixed", 2, 100, trace, 0.01) == tr + 0.01
-        assert clt_centering("statistical", 2, 100, trace, 0.01, l_hat) == (
+        assert clt_centering("mixed", self.SPIKES, 2, 100, 300, trace, 0.01) == tr + 0.01
+        assert clt_centering("statistical", self.SPIKES, 2, 100, 300, trace, 0.01, l_hat) == (
             tr + statistical_centering(l_hat, 2, 100)
         )
-        assert clt_centering("oracle", 2, 100, 0.25, 0.01) == 0.25 + 0.01
+        # the oracle term is computed here; it reads no bulk trace
+        assert clt_centering("oracle", self.SPIKES, 2, 100, 300, None, 0.01) == (
+            oracle_centering(21.0, 300, 3, 100) + 0.01
+        )
 
     def test_statistical_needs_lhat_and_unknown_mode(self):
         with pytest.raises(ConfigInvalid):
-            clt_centering("statistical", 2, 100, 0.1, 0.0)
+            clt_centering("statistical", self.SPIKES, 2, 100, 300, 0.1, 0.0)
         with pytest.raises(ConfigInvalid):
-            clt_centering("hybrid", 2, 100, 0.1, 0.0)
+            clt_centering("hybrid", self.SPIKES, 2, 100, 300, 0.1, 0.0)
+        with pytest.raises(SpikeAtOne):
+            clt_centering("oracle", [5.0, 1.0], 2, 100, 300, None, 0.0)
 
     def test_trace_modes_need_lhat_above_bulk(self):
         # both sources of the trace modes' bulk sum flag l_hat_nu = 2 = max bulk

@@ -1,9 +1,16 @@
 """Equivalence of the shipped polynomial pipeline with independent oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from spikedcov.centering import abc_coefficients, matrix_polynomial_Mnu, truncation_order
+from spikedcov.centering import (
+    abc_coefficients,
+    matrix_polynomial_Mnu,
+    polynomial_coefficients,
+    truncation_order,
+)
 
 from .oracles import exact_rational_abc, naive_abc, naive_matrix_polynomial
 
@@ -26,8 +33,11 @@ class TestAgainstNaiveFloatOracle:
     def test_matrix_polynomial_matches(self, spikes, nu, n, s):
         got = matrix_polynomial_Mnu(spikes, nu, n, s)
         want = naive_matrix_polynomial(spikes, nu, n, s)
+        assert got.shape == (s + 1, len(spikes))
         for d in range(s + 1):
-            assert _relative_gap(got[d], want[d]) <= 1e-13
+            # Itilde is all ones, so every column of the oracle's coefficient is column nu
+            np.testing.assert_array_equal(want[d], want[d][:, [nu - 1]] * np.ones(len(spikes)))
+            assert _relative_gap(got[d], want[d][:, nu - 1]) <= 1e-13
 
     def test_abc_matches_random_spikes(self):
         # M = 5, s = 3, spikes random but separated
@@ -46,7 +56,7 @@ class TestAgainstNaiveFloatOracle:
 
     def test_abc_matches_at_acceptance_scale(self):
         n = 2000
-        for M in (5, 10, 20):
+        for M in (5, 10, 20, 45, 100):
             spikes = (n**0.8) * 2.0 ** np.arange(M)[::-1]
             s = truncation_order(n, M)
             nu = M // 2
@@ -57,6 +67,20 @@ class TestAgainstNaiveFloatOracle:
             )
             for got, want in ((a, na), (b, nb), (c, nc)):
                 assert _relative_gap(got, want) <= 1e-12
+
+
+def test_coefficients_hold_no_m_by_m_array():
+    # n = 4000, M = 400: one M x M float64 array alone is 1.28 MB
+    n, M = 4000, 400
+    spikes = n**0.9 * np.linspace(2.0, 1.0, M)
+    polynomial_coefficients(spikes, 1, n)  # warm-up
+    tracemalloc.start()
+    try:
+        polynomial_coefficients(spikes, 1, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
 
 
 class TestAgainstExactRationalOracle:

@@ -672,6 +672,19 @@ class TestShiftExitCodes:
         assert abs(x - 0.017019139) <= 1e-9
         assert residual is not None and residual <= 1e-13 * (1.0 + abs(x))
 
+    @pytest.mark.parametrize("x_mode", [None, "auto"])
+    def test_auto_without_a_root_drops_x_and_flags_the_job(self, tmp_path, x_mode):
+        # n = 200, M = 16, ratio 1.11, nu = 16: no certified root; the config sets no x_mode
+        cfg = geometric_config(tmp_path / "m16.ini", 200, 100, 16, 1.11, 16)
+        out = tmp_path / "o"
+        flag = [] if x_mode is None else ["--x-mode", x_mode]
+        proc = run_cli(["clt", "--config", cfg, "--out", str(out), "--replicates", "2", *flag], {})
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr
+        report = json.loads((out / "report.json").read_text())
+        assert report["flags"] == ["x_not_certified"]
+        assert report["extra"] == {"x": 0.0, "x_mode": "zero", "x_residual": 0.0}
+
     @pytest.mark.parametrize("x_mode", ["root", "iter:40"])
     def test_iteration_without_a_root_is_numeric_error(self, tmp_path, x_mode):
         # n = 200, M = 16, ratio 1.11, nu = 16: the iteration from 0 runs off to inf

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,6 +66,35 @@ class TestSymEigen:
         assert np.all(np.diff(e1.values) <= 0)
         np.testing.assert_array_equal(e1.values, e2.values)
         np.testing.assert_array_equal(e1.vectors, e2.vectors)
+
+    def test_sign_rule_on_ties_takes_the_first_index(self):
+        # columns whose largest |.| is attained by a + and a - entry, either order
+        cols = np.array([[0.5, -0.5, 0.0, 0.0, -1.0],
+                         [-0.5, 0.5, 0.0, -1.0, 1.0],
+                         [0.5, 0.5, 0.0, 1.0, 0.0],
+                         [-0.5, -0.5, 0.0, 0.0, 0.0]])
+        rng = np.random.default_rng(8)
+        for V in (cols, -cols, cols[::-1], rng.choice([-1.0, 0.0, 1.0], size=(30, 40))):
+            idx = np.argmax(np.abs(V), axis=0)
+            signs = np.sign(V[idx, np.arange(V.shape[1])])
+            want = V * np.where(signs == 0.0, 1.0, signs)
+            np.testing.assert_array_equal(eigen_module._fix_signs(V.copy()), want)
+
+    def test_makes_no_n_by_n_temporaries(self):
+        # N = 500: eigh's vectors and argmax's copy are 2 MB each; the parent's
+        # reorder copy, |V| and V * signs added three more (6.09 MB traced)
+        g = Stream(5, "sym", 500).normals((500, 1000))
+        A = g @ g.T / 1000
+        sym_eigen(A)  # warm-up
+        tracemalloc.start()
+        try:
+            eig = sym_eigen(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5e6
+        # one C-ordered array, so BLAS products with the vectors keep their bits
+        assert eig.vectors.flags.c_contiguous
 
     def test_top_eigenpairs_matches_full(self):
         # top_eigenpairs is specified for PSD Gram matrices

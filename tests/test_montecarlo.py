@@ -588,7 +588,8 @@ class TestKernelAgainstDenseReference:
             rep = run_experiment(cfg)
             assert rep.flagged == 0
             got = rep.samples
-        x_shift = ctr.deterministic_shift(desk_spec.spikes, nu, desk_spec.n, "root")
+        x_shift, _, mode = ctr.deterministic_shift(desk_spec.spikes, nu, desk_spec.n, "root")
+        assert mode == "root"
         want = [dense_value(desk_spec, statistic, nu, eig, m_diag, x_shift)
                 for eig, m_diag in dense_reference]
         np.testing.assert_allclose(got, want, rtol=KERNEL_RTOL, atol=0.0)
