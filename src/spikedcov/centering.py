@@ -156,8 +156,13 @@ def root_residual(coeffs: PolynomialCoefficients, x: float) -> float:
     return abs(x - _x_map(coeffs, x))
 
 
+#: Steps of the x map an x routine may take: ``solve_x``'s budget, and the
+#: largest k0 of ``iterate_x_expansion``.
+X_STEPS = 200
+
+
 def solve_x(coeffs: PolynomialCoefficients) -> float:
-    """Root of x = F(x) by fixed-point iteration from 0, at most 200 steps.
+    """Root of x = F(x) by fixed-point iteration from 0, at most X_STEPS steps.
 
     Returns x only when it is finite and |x - F(x)| <= 1e-13 (1 + |x|);
     raises NoRoot otherwise, and when a, b or c is not finite.
@@ -165,7 +170,7 @@ def solve_x(coeffs: PolynomialCoefficients) -> float:
     if not all(np.isfinite(v).all() for v in (coeffs.a, coeffs.b, coeffs.c)):
         raise NoRoot("the x map has non-finite coefficients")
     x = 0.0
-    for _ in range(200):
+    for _ in range(X_STEPS):
         nxt = _x_map(coeffs, x)
         done = abs(nxt - x) <= 2.5e-14 * (1.0 + abs(nxt))
         x = nxt
@@ -182,10 +187,10 @@ def iterate_x_expansion(coeffs: PolynomialCoefficients, k0: int) -> float:
 
     k0 = 1 returns 0 and k0 = 2 returns F(0), the paper's Obar; the
     approximation error to the true root is O((M/n)^{k0}). A non-finite
-    X_{k0-1} raises NoRoot.
+    X_{k0-1} raises NoRoot, and k0 outside 1..X_STEPS ConfigInvalid.
     """
-    if k0 < 1:
-        raise ConfigInvalid(f"need k0 >= 1, got {k0}")
+    if not 1 <= k0 <= X_STEPS:
+        raise ConfigInvalid(f"need 1 <= k0 <= {X_STEPS}, got {k0}")
     x = 0.0
     for _ in range(k0 - 1):
         x = _x_map(coeffs, x)
@@ -217,8 +222,8 @@ def deterministic_shift(spikes, nu: int, n: int, x_mode: str | None) -> tuple[fl
 
     "zero" returns (0.0, 0.0, "zero") and builds nothing. Every other mode
     builds the coefficients once. "auto" and None resolve to "root" where
-    ``solve_x`` certifies a root and to "zero" where it raises NoRoot; an
-    explicit "root" lets NoRoot propagate.
+    ``solve_x`` certifies a root and to "zero", with the residual |F(0)| of
+    x = 0, where it raises NoRoot; an explicit "root" lets NoRoot propagate.
     """
     if x_mode == "zero":
         return 0.0, 0.0, "zero"
@@ -227,7 +232,7 @@ def deterministic_shift(spikes, nu: int, n: int, x_mode: str | None) -> tuple[fl
         try:
             x_mode, x = "root", solve_x(coeffs)
         except NoRoot:
-            return 0.0, 0.0, "zero"
+            return 0.0, root_residual(coeffs, 0.0), "zero"
     elif x_mode == "root":
         x = solve_x(coeffs)
     elif x_mode.startswith("iter:"):

@@ -108,13 +108,13 @@ class Manifest:
         _replace(self.path, _write_json, self.record)
 
 
-def _null_nan(value):
-    """``value`` with every NaN as None: a statistic with no value is JSON ``null``."""
+def _null_nonfinite(value):
+    """``value`` with every NaN and ±inf as None: a value with no finite number is JSON ``null``."""
     if isinstance(value, dict):
-        return {k: _null_nan(v) for k, v in value.items()}
+        return {k: _null_nonfinite(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_null_nan(v) for v in value]
-    return None if isinstance(value, float) and math.isnan(value) else value
+        return [_null_nonfinite(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _write_lines(path, lines) -> None:
@@ -125,7 +125,7 @@ def _write_lines(path, lines) -> None:
 
 
 def _write_json(path, record) -> None:
-    _write_lines(path, [json.dumps(_null_nan(record), indent=2, sort_keys=True)])
+    _write_lines(path, [json.dumps(_null_nonfinite(record), indent=2, sort_keys=True)])
 
 
 def _require_positive(**values) -> None:
@@ -166,7 +166,7 @@ def _run_experiment_job(args, config) -> int:
     report = run_experiment(config)
     manifest = Manifest(args.config, args.out, config.master_seed)
     manifest.save("report.json", _write_json, report.aggregate_record(config))
-    rows = [json.dumps(_null_nan(row), sort_keys=True) for row in report.rows]
+    rows = [json.dumps(_null_nonfinite(row), sort_keys=True) for row in report.rows]
     manifest.save("samples.jsonl", _write_lines, rows)
     manifest.save("samples.csv", _write_lines, ["value", *("%.17g" % v for v in report.samples)])
     manifest.write()
@@ -281,7 +281,7 @@ def cmd_check_identities(args) -> int:
             failures.append(f"nu={v}: series entry residual {series.entry_residual:.3e}")
         if series.sigma3_residual > 1e-6 * tol_scale:
             failures.append(f"nu={v}: series sigma3 residual {series.sigma3_residual:.3e}")
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(json.dumps(_null_nonfinite(report), indent=2, sort_keys=True))
     if failures:
         for f in failures:
             print(f"TOLERANCE: {f}", file=sys.stderr)

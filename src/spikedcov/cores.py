@@ -2,9 +2,9 @@
 
 One policy serves every parallel path. ``fan_out`` runs independent tasks
 on a pool of threads, each task on one OpenBLAS thread, so the pool owns
-the cores and a task's bits do not depend on the BLAS thread count. A
-fan-out started inside another fan-out, or inside ``one_blas_thread``, runs
-serially on the calling thread: the outer caller already owns the cores.
+the cores and a task's bits do not depend on the BLAS thread count. Only
+the replicate pool and the blocks of the concentration checks fan out,
+each from the top level of a command, never from inside another fan-out.
 ``openblas_functions`` finds numpy's OpenBLAS symbols, for the governor
 and for the LAPACK routines that ``eigen`` calls directly.
 """
@@ -105,21 +105,16 @@ def blas_threads() -> int | None:
 
 @contextmanager
 def one_blas_thread():
-    """Run the block on one OpenBLAS thread; nests, and is safe across threads.
-
-    Yields True to the outermost entrant, which owns the cores, and False
-    to every nested one.
-    """
+    """Run the block on one OpenBLAS thread; nests, and is safe across threads."""
     global _blas_depth, _blas_saved
     controls = _blas_controls()
     with _blas_lock:
-        owner = _blas_depth == 0
-        if controls and owner:
+        if controls and _blas_depth == 0:
             _blas_saved = controls[0]()
             controls[1](1)
         _blas_depth += 1
     try:
-        yield owner
+        yield
     finally:
         with _blas_lock:
             _blas_depth -= 1
@@ -131,15 +126,11 @@ def fan_out(fn, items, workers: int | None = None) -> list:
     """``[fn(item) for item in items]``, on a pool of threads each on one BLAS thread.
 
     ``workers`` caps the pool (default ``default_workers()``), and so do
-    the items and the CPUs (``pool_workers``). Inside another fan-out or
-    ``one_blas_thread`` the tasks run serially on the calling thread.
+    the items and the CPUs (``pool_workers``).
     """
     items = list(items)
-    with one_blas_thread() as owner:
-        if owner and len(items) > 1:
-            workers = min(len(items), pool_workers(workers))
-        else:
-            workers = 1
+    workers = min(len(items), pool_workers(workers))
+    with one_blas_thread():
         if workers <= 1:
             return [fn(item) for item in items]
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -67,10 +67,12 @@ class ExperimentConfig:
             raise ConfigInvalid("need at least one replicate")
         if not 1 <= self.nu <= self.spec.M:
             raise ConfigInvalid(f"nu = {self.nu} outside 1..{self.spec.M}")
-        if self.x_mode not in (None, "auto", "zero", "root") and not re.fullmatch(
-            r"iter:[1-9][0-9]*", self.x_mode
+        if self.x_mode not in (None, "auto", "zero", "root") and not (
+            re.fullmatch(r"iter:[1-9][0-9]{0,2}", self.x_mode) and int(self.x_mode[5:]) <= ctr.X_STEPS
         ):
-            raise ConfigInvalid(f"x_mode {self.x_mode!r}: want root, iter:<k0 >= 1>, zero or auto")
+            raise ConfigInvalid(
+                f"x_mode {self.x_mode!r}: want root, iter:<k0 in 1..{ctr.X_STEPS}>, zero or auto"
+            )
         if self.workers is not None and self.workers < 1:
             raise ConfigInvalid(f"need at least one worker, got {self.workers}")
         if self.statistic in CLT_STATISTICS and not self.spec.law.eligible_for_clt():

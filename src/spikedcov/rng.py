@@ -8,8 +8,8 @@ which keeps output bit-identical across platforms sharing IEEE-754 doubles.
 
 Philox is counter-based (Salmon et al., SC'11, "Parallel random numbers: as
 easy as 1, 2, 3"): a generator can start at any offset of its stream. So a
-stream is only a key and an offset, and a large draw is cut into spans, one
-per core, each read from its own offset, without changing its output.
+stream is only a key and an offset, and any part of a draw can be read on
+its own (``Stream.pairs``) with the bits of the whole.
 """
 
 from __future__ import annotations
@@ -19,11 +19,7 @@ import math
 
 import numpy as np
 
-from . import cores
-
 _TAU = 2.0 * np.pi
-#: Normal pairs per span below which a draw is not cut further.
-_MIN_SPAN = 1 << 15
 #: Normal pairs per block of the in-place Box-Muller transform.
 _BLOCK = 1 << 14
 
@@ -108,25 +104,14 @@ class Stream:
         return radius, angle
 
     def normals(self, shape) -> np.ndarray:
-        """i.i.d. standard normals via Box-Muller.
+        """i.i.d. standard normals via Box-Muller, in one read of ``pairs``.
 
         The 2 * half uniforms drawn from ``offset`` on hold the radius half,
-        then the angle half; the offset then moves past them. At
-        2 * _MIN_SPAN pairs or more the draw splits into up to one span of
-        ``pairs`` per worker, which ``cores.fan_out`` runs serially inside
-        another fan-out; below that it is one span. The bits are the same.
+        then the angle half; the offset then moves past them.
         """
         count = math.prod(shape) if np.iterable(shape) else int(shape)
         half = (count + 1) // 2
-        parts = 1 if half < 2 * _MIN_SPAN else min(cores.default_workers(), half // _MIN_SPAN)
-        bounds = [half * i // parts for i in range(parts + 1)]
-        start = self.offset
         z = np.empty(2 * half)
-
-        def span(i: int) -> None:
-            lo, hi = bounds[i], bounds[i + 1]
-            self.pairs(start, half, lo, hi, z[lo:hi], z[half + lo : half + hi])
-
-        cores.fan_out(span, range(parts))
-        self.offset = start + 2 * half
+        self.pairs(self.offset, half, 0, half, z[:half], z[half:])
+        self.offset += 2 * half
         return z[:count].reshape(shape)

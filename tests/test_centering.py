@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikedcov.centering import (
+    X_STEPS,
     PolynomialCoefficients,
     _x_map,
     clt_centering,
@@ -245,6 +246,13 @@ class TestIterateExpansion:
         O_bar, _ = compose_O(coeffs.a, coeffs.b, coeffs.c, coeffs.s)
         assert x == pytest.approx(O_bar, rel=1e-15)
 
+    def test_k0_outside_the_step_budget_is_a_config_error(self):
+        coeffs = polynomial_coefficients([10.0, 3.0], 1, 200)
+        iterate_x_expansion(coeffs, X_STEPS)
+        for k0 in (0, X_STEPS + 1, 10**19):
+            with pytest.raises(ConfigInvalid):
+                iterate_x_expansion(coeffs, k0)
+
     def test_diverging_iteration_raises(self):
         coeffs = polynomial_coefficients(geometric_spikes(200, 16, 1.11, 0.9), 16, 200)
         with pytest.raises(NoRoot):
@@ -345,7 +353,11 @@ class TestXModePolicy:
     def test_auto_without_a_root_is_zero(self, x_mode):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert deterministic_shift(*self.REPELLING, x_mode) == (0.0, 0.0, "zero")
+            x, residual, mode = deterministic_shift(*self.REPELLING, x_mode)
+        # x = 0 is reported with its own defect |0 - F(0)|, not as a root
+        assert (x, mode) == (0.0, "zero")
+        assert residual == root_residual(polynomial_coefficients(*self.REPELLING), 0.0)
+        assert residual == pytest.approx(0.1120, abs=5e-5)
 
     def test_explicit_override(self):
         # an explicit root or iteration is never dropped to zero

@@ -350,7 +350,7 @@ def _reject_constant(name):
 
 
 class TestStrictJson:
-    """A statistic with no value is written as null, never as a bare NaN."""
+    """A statistic with no finite value is written as null, never as a bare NaN or Infinity."""
 
     NO_SUCCESS = """\
 [model]
@@ -390,6 +390,15 @@ nu = 2
         rep = json.loads((out / "consistency.json").read_text(), parse_constant=_reject_constant)
         assert rep["flagged"] == 2
         assert rep["median_inner_sq"] == [None] * 4
+
+    def test_hw_constant_with_no_tail_seen(self, tmp_path):
+        # every tail is 0 at t >= 500, so the fitted constants are infinite
+        out = tmp_path / "o"
+        rc = main(["concentration", "--kind", "hw", "--p", "10", "--replicates", "200",
+                   "--t-min", "500", "--t-max", "600", "--t-count", "2", "--out", str(out)])
+        assert rc == 0
+        rep = json.loads((out / "concentration_hw.json").read_text(), parse_constant=_reject_constant)
+        assert rep["c_hw"] is None and rep["c_ahw"] is None
 
 
 def cli_env(env_extra):
@@ -435,6 +444,8 @@ class TestExitCodeContract:
         (["--threads", "-3"], {}),
         ([], {"SPIKED_EIG_THREADS": "0"}),
         ([], {"SPIKED_EIG_THREADS": "-2"}),
+        (["--x-mode", "iter:201"], {}),
+        (["--x-mode", "iter:12345678901234567890"], {}),
     ])
     def test_bad_input_is_config_error(self, tmp_path, desk_config, args, env):
         proc = run_cli(
@@ -683,7 +694,10 @@ class TestShiftExitCodes:
         assert "Warning" not in proc.stderr
         report = json.loads((out / "report.json").read_text())
         assert report["flags"] == ["x_not_certified"]
-        assert report["extra"] == {"x": 0.0, "x_mode": "zero", "x_residual": 0.0}
+        # x = 0 is reported with its defect |0 - F(0)|, which reads as no root
+        assert report["extra"] == {
+            "x": 0.0, "x_mode": "zero", "x_residual": pytest.approx(0.1120, abs=5e-5)
+        }
 
     @pytest.mark.parametrize("x_mode", ["root", "iter:40"])
     def test_iteration_without_a_root_is_numeric_error(self, tmp_path, x_mode):

@@ -60,8 +60,8 @@ def test_law_moments_million_draws(law):
 @pytest.mark.parametrize("law", [LAWS[0], LAWS[1], LAWS[3]], ids=lambda l: l.label())
 def test_draw_is_written_in_place(law, one_span):
     # the bits of the allocating transforms, with at most a quarter of
-    # the matrix in temporaries; one-span draws as a replicate does, inside
-    # one_blas_thread, where its spans run serially
+    # the matrix in temporaries; drawn at top level ("spans") and inside
+    # one_blas_thread as a replicate draws ("one-span"), each in one read
     N, n, seed = 600, 1200, 11
     want = law_values_reference(law, sequential(seed, "entries", law.label(), N, n), (N, n))
     with cores.one_blas_thread() if one_span else contextlib.nullcontext():

@@ -1,7 +1,6 @@
 import json
 import os
 import sys
-import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -313,19 +312,6 @@ class TestBlasGovernor:
         run_experiment(quick_config(quick_spec, replicates=2))
         assert cores.blas_threads() == 2
         consistency_report(quick_config(quick_spec, statistic="consistency", replicates=2))
-        assert cores.blas_threads() == 2
-
-    def test_fan_out_inside_a_replicate_runs_on_the_calling_thread(self, blas_count_two):
-        def replicate(r):
-            inner = cores.fan_out(lambda i: (threading.get_ident(), cores.blas_threads()), range(3), 2)
-            return threading.get_ident(), inner
-
-        for caller, inner in cores.fan_out(replicate, range(2), 2):
-            assert inner == [(caller, 1)] * 3
-        assert cores.blas_threads() == 2
-        with cores.one_blas_thread():
-            seen = cores.fan_out(lambda i: threading.get_ident(), range(3), 2)
-        assert seen == [threading.get_ident()] * 3
         assert cores.blas_threads() == 2
 
     def test_concurrent_fan_outs_restore_the_count(self, blas_count_two):

@@ -55,7 +55,8 @@ class TestStieltjes:
     def test_quadratic_residual_grid(self):
         for gamma in (0.2, 0.5, 1.0, 2.0, 5.0):
             b = MPParams(gamma).edges[1]
-            for z in np.linspace(b + 0.1, b + 50.0, 20):
+            # and far right of the edge, where z + gamma - 1 and sqrt(D) nearly cancel
+            for z in [*np.linspace(b + 0.1, b + 50.0, 20), *(b * 10.0 ** np.arange(2, 13))]:
                 assert abs(mp_quadratic_residual(z, gamma)) <= 1e-12
 
     def test_inside_bulk_raises(self):

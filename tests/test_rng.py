@@ -1,5 +1,4 @@
 import hashlib
-import threading
 
 import numpy as np
 import pytest
@@ -63,75 +62,57 @@ def test_normals_continue_the_stream_like_the_reference():
 
 
 @pytest.fixture
-def span_counts(monkeypatch):
-    """Cut every draw of two or more pairs into up to three spans of 3-pair blocks; record the cuts."""
-    monkeypatch.setattr(rng, "_MIN_SPAN", 1)
+def small_blocks(monkeypatch):
+    """Transform every draw 3 pairs at a time."""
     monkeypatch.setattr(rng, "_BLOCK", 3)
-    monkeypatch.setenv("SPIKED_EIG_THREADS", "3")
-    counts = []
-    fan_out = cores.fan_out
-
-    def spy(fn, items, workers=None):
-        items = list(items)
-        counts.append(len(items))
-        return fan_out(fn, items, workers)
-
-    monkeypatch.setattr(cores, "fan_out", spy)
-    return counts
 
 
 @pytest.mark.parametrize("drawn", range(6))
 @pytest.mark.parametrize("shape", [(), 1, 2, 5, 8, 13, (3, 7), (40, 51)])
-def test_split_normals_bit_identical_to_one_span(span_counts, drawn, shape):
+def test_split_normals_bit_identical_to_one_span(small_blocks, drawn, shape):
     a, b = Stream(79, "split", drawn), sequential(79, "split", drawn)
     np.testing.assert_array_equal(a.uniforms(drawn), b.random(drawn))
     got = a.normals(shape)
     want = box_muller_reference(b, shape)
     assert got.shape == want.shape
     np.testing.assert_array_equal(got, want)
-    half = (want.size + 1) // 2
-    assert span_counts == [min(3, half)]
     # the stream continues where a serial draw leaves it
     np.testing.assert_array_equal(a.normals(9), box_muller_reference(b, 9))
     np.testing.assert_array_equal(a.uniforms(3), b.random(3))
 
 
-def test_split_at_the_default_span(monkeypatch):
-    monkeypatch.setenv("SPIKED_EIG_THREADS", "2")
-    shape = (4 * rng._MIN_SPAN + 1, 1)
+def test_split_at_the_default_span():
+    # the size the former default split cut into spans, now one read
+    shape = (4 * 2**15 + 1, 1)
     a, b = Stream(80, "split"), sequential(80, "split")
     np.testing.assert_array_equal(a.normals(shape), box_muller_reference(b, shape))
     np.testing.assert_array_equal(a.uniforms(5), b.random(5))
 
 
-def test_draws_inside_a_fan_out_run_on_the_calling_thread(span_counts, monkeypatch):
-    # a replicate's draw: cut into spans as at top level, run serially, same bits
-    threads = []
+def test_a_draw_is_one_read_of_pairs(monkeypatch):
+    reads, fan_outs = [], []
     pairs = Stream.pairs
 
     def spy(self, *args):
-        threads.append(threading.get_ident())
+        reads.append(args[:4])
         return pairs(self, *args)
 
     monkeypatch.setattr(Stream, "pairs", spy)
-    a, b = Stream(81, "inner"), sequential(81, "inner")
-    with cores.one_blas_thread():
-        got = a.normals(50)
-    np.testing.assert_array_equal(got, box_muller_reference(b, 50))
-    assert span_counts == [3]
-    assert threads == [threading.get_ident()] * 3
-    np.testing.assert_array_equal(a.uniforms(3), b.random(3))
+    monkeypatch.setattr(cores, "fan_out", lambda *args: fan_outs.append(args))
+    monkeypatch.setenv("SPIKED_EIG_THREADS", "2")
+    half = 2 * 2**16
+    a, b = Stream(81, "one-read"), sequential(81, "one-read")
+    np.testing.assert_array_equal(a.normals(2 * half), box_muller_reference(b, 2 * half))
+    assert reads == [(0, half, 0, half)]
+    assert fan_outs == []
 
 
 @pytest.mark.parametrize("shape", [1, 7, 8, (3, 7), (40, 51)])
-def test_one_span_draw_in_blocks_bit_identical(span_counts, monkeypatch, shape):
-    # one worker: one span, transformed 3 pairs at a time
-    monkeypatch.setenv("SPIKED_EIG_THREADS", "1")
+def test_one_span_draw_in_blocks_bit_identical(small_blocks, shape):
+    # one read, transformed 3 pairs at a time
     a, b = Stream(82, "blocks", repr(shape)), sequential(82, "blocks", repr(shape))
-    with cores.one_blas_thread():
-        got = a.normals(shape)
+    got = a.normals(shape)
     np.testing.assert_array_equal(got, box_muller_reference(b, shape))
-    assert span_counts == [1]
     np.testing.assert_array_equal(a.uniforms(3), b.random(3))
 
 
@@ -170,19 +151,9 @@ def test_frozen_digest_of_a_one_span_draw():
     assert digest(z.tobytes()) == "683f3bbb93ec2394a2da79e05d493109db7f1e8b0906005653c0f12d4c309a31"
 
 
-def test_frozen_digest_of_a_split_draw(monkeypatch):
-    monkeypatch.setenv("SPIKED_EIG_THREADS", "2")
-    spans = []
-    fan_out = cores.fan_out
-
-    def spy(fn, items, workers=None):
-        items = list(items)
-        spans.append(len(items))
-        return fan_out(fn, items, workers)
-
-    monkeypatch.setattr(cores, "fan_out", spy)
+def test_frozen_digest_of_a_split_draw():
+    # two spans of 2^15 + 1 pairs under the former split; the bits do not depend on it
     z = Stream(2026, "digest", "split").normals(4 * 2**15 + 3)  # 2 * 2^15 + 2 pairs
-    assert spans == [2]
     assert digest(z.tobytes()) == "a76759e19cd863afb35dde4be031cbab88f82ea43f2adf8ef31a0e1a0a0a112b"
 
 
