@@ -298,6 +298,12 @@ def clt_statistics(
     return clt_statistic_value(al.l_hat, ls[nu - 1], centering, law, n)
 
 
+#: The most terms series_expansion_check sums. At ||M_nu|| <= 0.99 term
+#: 10 000 is below 1e-43 of the first; the terms need not reach zero, since
+#: a contraction factor above 1/2 rounds the smallest subnormal to itself.
+SERIES_TERMS_MAX = 10_000
+
+
 @dataclass
 class SeriesReport:
     """Residuals of the truncated alignment series at order J."""
@@ -326,8 +332,10 @@ def series_expansion_check(
     and reports (i) the worst entry defect of
     (a - e)_k = (||a - e||^2 / 2 - 1) Sigma_{0,k} over k != nu, (ii) the gap
     between ||a-e||^2 - ||a-e||^4/4 and Sigma0/(1+Sigma0), (iii) the largest
-    ratio of consecutive series term norms.
+    ratio of consecutive series term norms. J must lie in 0..SERIES_TERMS_MAX.
     """
+    if not 0 <= J <= SERIES_TERMS_MAX:
+        raise ConfigInvalid(f"series terms must be in 0..{SERIES_TERMS_MAX}, got {J}")
     ls = np.atleast_1d(np.asarray(spikes, dtype=np.float64))
     M = len(ls)
     l_nu = ls[nu - 1]

@@ -241,8 +241,8 @@ def cmd_mp_table(args) -> int:
 def cmd_check_identities(args) -> int:
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
         raise ConfigInvalid(f"--tol must be finite and >= 0, got {args.tol}")
-    if args.series_terms < 0:
-        raise ConfigInvalid(f"--series-terms must be >= 0, got {args.series_terms}")
+    if not 0 <= args.series_terms <= centering.SERIES_TERMS_MAX:
+        raise ConfigInvalid(f"--series-terms {args.series_terms} outside 0..{centering.SERIES_TERMS_MAX}")
     parser, spec, seed = _instance(args)
     nu = args.nu if args.nu is not None else experiment_value(parser, "nu", int, 0)
     Z = model.sample_entry_matrix(spec.N, spec.n, spec.law, seed)

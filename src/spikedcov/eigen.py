@@ -6,7 +6,8 @@ block B, via an SVD of the bulk rows of Z: with (1/sqrt(n)) Z_B = V M^{1/2} H^T,
 the diagonal M holds the eigenvalues of S_BB and T = (1/sqrt(n)) H^T Z_A^T
 collects the cross terms. The two master identities tying
 (S_AA, T, M, Lambda) to a sample eigenpair are checked by
-``verify_master_identities``.
+``verify_master_identities``; a ``BlockDecomposition`` keeps those four
+and n, and forms neither S_AB nor S_BB.
 
 Dense eigen/SVD factorizations are delegated to LAPACK (Householder
 tridiagonalization paths) behind the contracts below. The replication
@@ -57,22 +58,14 @@ class BlockDecomposition:
     """The exact A/B split of one simulated instance (identity frame)."""
 
     S_AA: np.ndarray
-    S_AB: np.ndarray
-    S_BB: np.ndarray
     M_diag: np.ndarray
-    V: np.ndarray
-    H: np.ndarray
     T: np.ndarray
-    Z_A: np.ndarray
     Lambda: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.Z_A.shape[1]
+    n: int
 
     @property
     def M(self) -> int:
-        return self.Z_A.shape[0]
+        return self.Lambda.shape[0]
 
     @property
     def N(self) -> int:
@@ -88,8 +81,6 @@ class Alignment:
     a: np.ndarray
     R: float
     inner: float
-    p_A: np.ndarray
-    p_B: np.ndarray
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -278,13 +269,13 @@ def sample_covariance(X: np.ndarray) -> np.ndarray:
 
 
 def block_decompose(Z: np.ndarray, spikes) -> BlockDecomposition:
-    """Split Z into spike/bulk rows and factor the bulk via SVD.
+    """Split Z into spike rows Z_A and bulk rows Z_B and factor the bulk via SVD.
 
-    Builds Z_A (a copy of the first M rows of Z, so the result holds no
-    view of Z), Z_B (the rest), and the factorization
-    (1/sqrt(n)) Z_B = V diag(sqrt(M_diag)) H^T with V square orthogonal and
-    H of shape n x (N-M) whose first min(N-M, n) columns are orthonormal;
-    when N - M > n the trailing (N-M) - n columns of H are zero.
+    With (1/sqrt(n)) Z_B = V diag(sqrt(M_diag)) H^T, H of shape n x (N-M)
+    whose first min(N-M, n) columns are orthonormal and whose trailing
+    (N-M) - n columns are zero when N - M > n, it keeps the bulk spectrum
+    M_diag, T = (1/sqrt(n)) H^T Z_A^T and S_AA. Z_A is read as a view; the
+    result holds only new arrays, no view of Z.
     """
     Z = np.asarray(Z, dtype=np.float64)
     spikes = np.atleast_1d(np.asarray(spikes, dtype=np.float64))
@@ -292,40 +283,33 @@ def block_decompose(Z: np.ndarray, spikes) -> BlockDecomposition:
     N, n = Z.shape
     if not M < N:
         raise ConfigInvalid(f"need M < N, got M={M}, N={N}")
-    Z_A = Z[:M, :].copy()
-    Z_B = Z[M:, :]
-    B = Z_B / np.sqrt(n)
+    Z_A = Z[:M, :]
+    B = Z[M:, :] / np.sqrt(n)
     p = N - M
     try:
         if p <= n:
-            V, svals, Ht = np.linalg.svd(B, full_matrices=False)
+            _, svals, Ht = np.linalg.svd(B, full_matrices=False)
             M_diag = svals**2
             H = Ht.T
         else:
-            V, svals, Ht = np.linalg.svd(B, full_matrices=True)
+            _, svals, Ht = np.linalg.svd(B, full_matrices=True)
             M_diag = np.concatenate([svals**2, np.zeros(p - n)])
             H = np.concatenate([Ht.T, np.zeros((n, p - n))], axis=1)
     except np.linalg.LinAlgError as exc:
         raise DegenerateSVD(str(exc)) from exc
-
-    sqrt_l = np.sqrt(spikes)
-    XA = sqrt_l[:, np.newaxis] * Z_A
+    XA = np.sqrt(spikes)[:, np.newaxis] * Z_A
     S_AA = (XA @ XA.T) / n
-    S_AB = (XA @ Z_B.T) / n
-    S_BB = B @ B.T
     T = (H.T @ Z_A.T) / np.sqrt(n)
-    return BlockDecomposition(
-        S_AA=S_AA, S_AB=S_AB, S_BB=S_BB, M_diag=M_diag, V=V, H=H, T=T,
-        Z_A=Z_A, Lambda=spikes,
-    )
+    return BlockDecomposition(S_AA=S_AA, M_diag=M_diag, T=T, Lambda=spikes, n=n)
 
 
 def alignment(eig: EigenSystem, U: np.ndarray | None, spikes, nu: int) -> Alignment:
     """A/B split of the nu-th sample eigenvector in the U frame.
 
     The eigenvector is rotated to U coordinates (U^T p) when a non-identity
-    basis is given, split at index M, and sign-flipped so that
-    <p, u_nu> = sqrt(1 - R^2) <a, e_nu> >= 0.
+    basis is given and split at index M into views p_A and p_B. The sign
+    rides in the divisor, a = p_A / (+-||p_A||), so that
+    <p, u_nu> = sqrt(1 - R^2) <a, e_nu> >= 0 with R = ||p_B||.
     """
     spikes = np.atleast_1d(np.asarray(spikes, dtype=np.float64))
     M = len(spikes)
@@ -334,22 +318,16 @@ def alignment(eig: EigenSystem, U: np.ndarray | None, spikes, nu: int) -> Alignm
     p = eig.vectors[:, nu - 1]
     if U is not None:
         p = U.T @ p
-    p_A = p[:M].copy()
-    p_B = p[M:].copy()
+    p_A, p_B = p[:M], p[M:]
     norm_A = np.linalg.norm(p_A)
     if norm_A <= 1e-12:
         raise DegenerateAlignment(
             f"||p_A|| = {norm_A:.3e} at nu = {nu}: R = 1 within tolerance"
         )
-    if p_A[nu - 1] < 0.0:
-        p_A, p_B = -p_A, -p_B
     R = np.linalg.norm(p_B)
-    a = p_A / norm_A
+    a = p_A / (-norm_A if p_A[nu - 1] < 0.0 else norm_A)
     inner = np.sqrt(max(1.0 - R * R, 0.0)) * a[nu - 1]
-    return Alignment(
-        nu=nu, l_hat=float(eig.values[nu - 1]), a=a, R=float(R),
-        inner=float(inner), p_A=p_A, p_B=p_B,
-    )
+    return Alignment(nu=nu, l_hat=float(eig.values[nu - 1]), a=a, R=float(R), inner=float(inner))
 
 
 def shifted_resolvent_diag(M_diag: np.ndarray, l_hat: float, power: int = 1) -> np.ndarray:

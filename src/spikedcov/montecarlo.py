@@ -165,27 +165,20 @@ def _moments(values: np.ndarray) -> tuple[float, float, float, float]:
     return mean, var, skew, kurt
 
 
-@dataclass
-class _Instance:
-    l_hat: np.ndarray
-    vectors: np.ndarray | None
-    bulk_trace: float | None
-
-
 def simulate_instance(
     spec: SpikedModelSpec,
     seed: int,
     need_vectors: bool,
     trace_nu: int | None = None,
-) -> _Instance:
-    """Top-M eigenstructure of one replicate, in the identity frame.
+) -> tuple[EigenSystem, float | None]:
+    """One replicate's top-M eigenpairs (identity frame; vectors only if asked) and bulk trace.
 
     Only the trace centering (``trace_nu`` given) forms the Gram product S:
     the bulk trace of its S_BB block at l_hat_{trace_nu} needs it, and the
     certified top-M solver runs on it too, and the draw is dropped once S
-    exists. Every other replicate solves on the draw X itself,
-    S = X X^T / n, and never forms S. It runs on one BLAS thread, so its
-    bits depend on (spec, seed) alone.
+    exists. Every other replicate solves on the draw X itself, S = X X^T / n,
+    never forms S and has bulk trace None. It runs on one BLAS thread, so
+    its bits depend on (spec, seed) alone.
     """
     with one_blas_thread():
         A = sample_entry_matrix(spec.N, spec.n, spec.law, seed)
@@ -198,7 +191,7 @@ def simulate_instance(
         else:
             l_hat, vectors = top_eigenvalues(A, spec.M, factor=factor), None
         trace = bulk_trace(A, spec.M, float(l_hat[trace_nu - 1])) if trace_nu else None
-    return _Instance(l_hat=l_hat, vectors=vectors, bulk_trace=trace)
+    return EigenSystem(l_hat, vectors), trace
 
 
 def _replicate_value(config: ExperimentConfig, r: int, x_shift: float):
@@ -212,20 +205,19 @@ def _replicate_value(config: ExperimentConfig, r: int, x_shift: float):
     seed = config.replicate_seed(r)
     try:
         trace_nu = nu if stat in ("clt_mixed", "clt_statistical") else None
-        inst = simulate_instance(spec, seed, stat not in CLT_STATISTICS, trace_nu)
+        eig, trace = simulate_instance(spec, seed, stat not in CLT_STATISTICS, trace_nu)
         if stat in CLT_STATISTICS:
             c = ctr.clt_centering(
-                stat[4:], spec.spikes, nu, spec.n, spec.N, inst.bulk_trace, x_shift, inst.l_hat
+                stat[4:], spec.spikes, nu, spec.n, spec.N, trace, x_shift, eig.values
             )
-            l_hat_nu, l_nu = float(inst.l_hat[nu - 1]), float(spec.spikes[nu - 1])
+            l_hat_nu, l_nu = float(eig.values[nu - 1]), float(spec.spikes[nu - 1])
             return ctr.clt_statistic_value(l_hat_nu, l_nu, c, spec.law, spec.n), None, seed
-        eig = EigenSystem(inst.l_hat, inst.vectors)
         if stat == "consistency":
-            max_err = np.maximum.accumulate(np.abs(inst.l_hat / spec.spikes - 1.0))
+            max_err = np.maximum.accumulate(np.abs(eig.values / spec.spikes - 1.0))
             inner = [alignment(eig, None, spec.spikes, k).inner for k in range(1, spec.M + 1)]
             return np.vstack([max_err, np.square(inner)]), None, seed
         al = alignment(eig, None, spec.spikes, nu)
-        source = inst.l_hat if config.empirical else spec.spikes
+        source = eig.values if config.empirical else spec.spikes
         es = eigvec_statistic(al, source, nu, spec.n, spec.N, spec.M, stat[7:], config.empirical)
         return es.value, None, seed
     except REPLICATE_FAULTS as exc:

@@ -1,15 +1,33 @@
-"""Every spikedcov name the benchmark's tracer wraps still resolves.
+"""The benchmark's hooks into spikedcov still hold.
 
 ``perfbench/layers.py`` wraps functions by name to produce its per-layer
 metrics; a rename would drop a metric from the benchmark, so it fails here.
+``perfbench/workloads.py`` checks each MC job's replicates against a dense
+reference built from spikedcov's objects; a field it reads that goes
+would fail every MC job of a benchmark run, so that check runs here too.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
-from spikedcov import cli, matio, montecarlo, rng
+import pytest
 
-LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+from spikedcov import cli, matio, montecarlo, rng
+from spikedcov.config import build_experiment, load_config
+from spikedcov.montecarlo import run_experiment
+
+ROOT = Path(__file__).resolve().parent.parent
+LAYERS = ROOT / "perfbench" / "layers.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+
+
+def load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # a dataclass looks its module up by name
+    spec.loader.exec_module(module)
+    return module
 
 
 class Recorder:
@@ -24,9 +42,7 @@ class Recorder:
 
 
 def test_every_wrapped_name_resolves():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+    layers = load(LAYERS, "perfbench_layers")
     recorder = Recorder()
     layers.instrument(recorder)
     assert {
@@ -42,3 +58,21 @@ def test_every_wrapped_name_resolves():
         (matio, "write_csv"),
     } <= recorder.wrapped
     assert callable(montecarlo.default_workers)  # perfbench/worker.py reports it
+
+
+@pytest.mark.parametrize("ini, statistic", [
+    ("clt_oracle_desk.ini", "clt_mixed"),
+    ("desk_standard.ini", "eigvec_B"),
+])
+def test_mc_rows_match_the_benchmark_reference(ini, statistic):
+    # the comparison perfbench's _check_mc makes on the first and last replicate
+    workloads = load(WORKLOADS, "perfbench_workloads")
+    config = build_experiment(
+        load_config(ROOT / "configs" / ini), statistic=statistic, replicates=3,
+        master_seed=11, x_mode="root",
+    )
+    rows = run_experiment(config).rows
+    for r in (0, config.replicates - 1):
+        assert rows[r]["flag"] is None
+        want = workloads.reference_value(config, r)
+        assert workloads._close(rows[r]["value"], want), (r, rows[r]["value"], want)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikedcov.centering import (
+    SERIES_TERMS_MAX,
     X_STEPS,
     PolynomialCoefficients,
     _x_map,
@@ -500,22 +501,25 @@ class TestSeriesExpansion:
         M, p, n = 3, 6, 40
         spikes = np.array([8.0, 4.0, 2.0])
         bd = BlockDecomposition(
-            S_AA=np.diag(spikes),
-            S_AB=np.zeros((M, p)),
-            S_BB=np.zeros((p, p)),
-            M_diag=np.zeros(p),
-            V=np.eye(p),
-            H=np.zeros((n, p)),
-            T=np.zeros((p, M)),
-            Z_A=np.zeros((M, n)),
-            Lambda=spikes,
+            S_AA=np.diag(spikes), M_diag=np.zeros(p), T=np.zeros((p, M)), Lambda=spikes, n=n
         )
         e1 = np.zeros(M)
         e1[0] = 1.0
-        al = Alignment(nu=1, l_hat=8.0, a=e1, R=0.0, inner=1.0, p_A=e1, p_B=np.zeros(p))
+        al = Alignment(nu=1, l_hat=8.0, a=e1, R=0.0, inner=1.0)
         rep = series_expansion_check(bd, al, spikes, 1, J=5)
         assert rep.entry_residual == 0.0
         assert rep.sigma3_residual == 0.0
+
+    @pytest.mark.parametrize("J", [-1, SERIES_TERMS_MAX + 1])
+    def test_terms_outside_the_bound_are_a_config_error(self, J):
+        from spikedcov.eigen import Alignment, BlockDecomposition
+
+        spikes = np.array([2.0, 1.0])
+        bd = BlockDecomposition(S_AA=np.diag(spikes), M_diag=np.zeros(1), T=np.zeros((1, 2)),
+                                Lambda=spikes, n=10)
+        al = Alignment(nu=1, l_hat=2.0, a=np.array([1.0, 0.0]), R=0.0, inner=1.0)
+        with pytest.raises(ConfigInvalid):
+            series_expansion_check(bd, al, spikes, 1, J=J)
 
 
 class TestMonteCarloOracleClt:

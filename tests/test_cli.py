@@ -295,7 +295,7 @@ class TestCheckIdentities:
             finally:
                 tracemalloc.stop()
         assert rc == 0
-        assert peak <= 20e6
+        assert peak <= 15e6
 
 
 class TestConsistency:
@@ -510,6 +510,7 @@ class TestExitCodeContract:
         ["--tol", "inf"],
         ["--tol=-1"],
         ["--series-terms=-3"],
+        ["--series-terms", "10001"],
     ])
     def test_bad_check_identities_flag_is_config_error(self, desk_config, args):
         proc = run_cli(["check-identities", "--config", desk_config, *args], {})

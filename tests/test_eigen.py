@@ -429,56 +429,69 @@ class TestSampleCovariance:
 
 
 class TestBlockDecompose:
+    """M_diag is the bulk spectrum and T is fixed by its Gram identities.
+
+    With (1/sqrt(n)) Z_B = V diag(sqrt(M_diag)) H^T and T = H^T Z_A^T / sqrt(n):
+    T^T diag(M_diag) T = (Z_A Z_B^T)(Z_B Z_A^T) / n^2 for every shape, and when
+    N - M >= n, H H^T = I gives T^T T = Z_A Z_A^T / n and the rows of T past n
+    are zero (the padding columns of H).
+    """
+
+    @staticmethod
+    def cross_gram(Z, M, n):
+        C = Z[:M] @ Z[M:].T
+        return C @ C.T / n**2
+
     def test_hand_computed_bulk(self):
         # Z with M = 1 spike row, bulk Z_B = [[3,0],[0,4]], n = 2:
-        # S_BB = (1/2) Z_B Z_B^T = diag(4.5, 8) so M_diag desc = (8, 4.5)
+        # S_BB = (1/2) Z_B Z_B^T = diag(4.5, 8) so M_diag desc = (8, 4.5);
+        # H = (+-e2, +-e1), so |T| = (1, 1) / sqrt(2)
         Z = np.array([[1.0, 1.0], [3.0, 0.0], [0.0, 4.0]])
         bd = block_decompose(Z, [2.0])
         np.testing.assert_allclose(bd.M_diag, [8.0, 4.5], atol=1e-12)
-        recon = (bd.V * bd.M_diag) @ bd.V.T
-        np.testing.assert_allclose(recon, bd.S_BB, atol=1e-12)
+        np.testing.assert_allclose(np.abs(bd.T), np.full((2, 1), np.sqrt(0.5)), atol=1e-12)
+        # 8 / 2 + 4.5 / 2 = |(3, 4)|^2 / 4
+        np.testing.assert_allclose(bd.T.T @ (bd.M_diag[:, None] * bd.T), [[6.25]], atol=1e-12)
+        assert (bd.n, bd.M, bd.N) == (2, 1, 3)
 
     def test_padding_branch_tall_bulk(self, gaussian):
-        # N - M > n: H gains exactly (N - M) - n zero columns
+        # N - M > n: M_diag and the rows of T gain exactly (N - M) - n zeros
         Z = Stream(7, "tall").normals((12, 5))
         bd = block_decompose(Z, [3.0, 2.0])
-        assert bd.H.shape == (5, 10)
-        zero_cols = np.sum(~np.any(bd.H, axis=0))
-        assert zero_cols == 10 - 5
+        assert bd.T.shape == (10, 2)
+        np.testing.assert_array_equal(bd.T[5:], 0.0)
+        np.testing.assert_array_equal(bd.M_diag[5:], 0.0)
+        np.testing.assert_allclose(bd.T.T @ bd.T, Z[:2] @ Z[:2].T / 5, atol=1e-12)
         np.testing.assert_allclose(
-            Z[2:] / np.sqrt(5), (bd.V * np.sqrt(bd.M_diag)) @ bd.H.T, atol=1e-12
+            bd.T.T @ (bd.M_diag[:, None] * bd.T), self.cross_gram(Z, 2, 5), atol=1e-12
         )
 
     def test_factorization_invariants(self, small_spec):
         _, Z = generate_data(small_spec, 11)
         bd = block_decompose(Z, small_spec.spikes)
         n = small_spec.n
-        scale = np.max(np.abs(bd.S_BB))
-        assert np.max(np.abs(bd.S_BB - (bd.V * bd.M_diag) @ bd.V.T)) <= 1e-8 * scale
-        assert np.max(np.abs(Z[4:] / np.sqrt(n) - (bd.V * np.sqrt(bd.M_diag)) @ bd.H.T)) <= 1e-8
-        sq = np.sqrt(bd.M_diag)
-        assert np.max(np.abs(sq[:, None] * (bd.H.T @ bd.H) - np.diag(sq))) <= 1e-8
-        T_expected = bd.H.T @ Z[:4].T / np.sqrt(n)
-        np.testing.assert_array_equal(bd.T, T_expected)
-
-    def test_sab_definition(self, small_spec):
-        _, Z = generate_data(small_spec, 13)
-        bd = block_decompose(Z, small_spec.spikes)
+        assert (bd.n, bd.M, bd.N) == (n, 4, small_spec.N)
+        assert bd.T.shape == (small_spec.N - 4, 4)
+        want = self.cross_gram(Z, 4, n)
+        got = bd.T.T @ (bd.M_diag[:, None] * bd.T)
+        assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
         sqrt_l = np.sqrt(small_spec.spikes)
-        expected = (sqrt_l[:, None] * Z[:4]) @ Z[4:].T / small_spec.n
-        assert np.max(np.abs(bd.S_AB - expected)) <= 1e-12
+        XA = sqrt_l[:, None] * Z[:4]
+        np.testing.assert_allclose(bd.S_AA, XA @ XA.T / n, rtol=0, atol=1e-12 * np.max(bd.S_AA))
+        for held in (bd.S_AA, bd.M_diag, bd.T):  # Z may be scaled in place after the split
+            assert not np.shares_memory(held, Z)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_blocks_exactly_symmetric(self, small_spec, order):
         Z = np.asarray(generate_data(small_spec, 19)[1], order=order)
         bd = block_decompose(Z, small_spec.spikes)
         np.testing.assert_array_equal(bd.S_AA, bd.S_AA.T)
-        np.testing.assert_array_equal(bd.S_BB, bd.S_BB.T)
 
     def test_bulk_spectrum_matches_sym_eigen(self, small_spec):
         _, Z = generate_data(small_spec, 17)
         bd = block_decompose(Z, small_spec.spikes)
-        direct = sym_eigen(bd.S_BB).values
+        Z_B = Z[4:]
+        direct = sym_eigen(Z_B @ Z_B.T / small_spec.n).values
         np.testing.assert_allclose(
             np.sort(direct), np.sort(bd.M_diag), rtol=1e-8, atol=1e-10
         )
@@ -527,7 +540,7 @@ class TestAlignment:
         for nu in range(1, M + 1):
             al = alignment(eig, None, spikes, nu)
             assert al.inner**2 > 0.9
-            assert abs(np.linalg.norm(al.p_A) ** 2 + al.R**2 - 1.0) <= 1e-10
+            assert abs(np.linalg.norm(eig.vectors[:M, nu - 1]) ** 2 + al.R**2 - 1.0) <= 1e-10
 
     def test_degenerate_alignment_raises(self):
         from spikedcov.eigen import EigenSystem
@@ -571,8 +584,7 @@ class TestMasterIdentities:
         spec = SpikedModelSpec(n=n, N=150, M=1, spikes=[1.0], law=gaussian)
         _, Z = generate_data(spec, 31)
         bd = block_decompose(Z, spec.spikes)
-        fake = Alignment(nu=1, l_hat=float(np.max(bd.M_diag)) * 0.5, a=np.ones(1),
-                         R=0.1, inner=1.0, p_A=np.ones(1), p_B=np.zeros(1))
+        fake = Alignment(nu=1, l_hat=float(np.max(bd.M_diag)) * 0.5, a=np.ones(1), R=0.1, inner=1.0)
         with pytest.raises(NotInvertible):
             verify_master_identities(bd, fake)
 

@@ -38,8 +38,7 @@ class TestEigvecStatistic:
 
         a = np.zeros(M)
         a[nu - 1] = 1.0
-        return Alignment(nu=nu, l_hat=l_hat, a=a, R=0.0, inner=inner,
-                         p_A=a, p_B=np.zeros(3))
+        return Alignment(nu=nu, l_hat=l_hat, a=a, R=0.0, inner=inner)
 
     def test_perfect_alignment_variant_A(self):
         al = self._alignment(1.0)

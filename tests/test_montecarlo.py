@@ -11,7 +11,6 @@ from scipy.stats import norm
 from spikedcov import centering as ctr
 from spikedcov import cores, montecarlo
 from spikedcov.eigen import (
-    EigenSystem,
     alignment,
     block_decompose,
     sample_covariance,
@@ -200,8 +199,8 @@ class TestReplicateOrderFreedom:
             seed = cfg.replicate_seed(r)
             from spikedcov.montecarlo import simulate_instance
 
-            inst = simulate_instance(quick_spec, seed, False, False)
-            parts.append(inst.l_hat[0])
+            eig, _ = simulate_instance(quick_spec, seed, False, False)
+            parts.append(eig.values[0])
         parts = np.array(parts[::-1])
         from spikedcov.centering import clt_statistic_value, oracle_centering
 
@@ -590,8 +589,7 @@ class TestKernelAgainstDenseReference:
         )
         rep = consistency_report(cfg)
         for r in range(cfg.replicates):
-            inst = simulate_instance(desk_spec, cfg.replicate_seed(r), True)
-            eig = EigenSystem(inst.l_hat, inst.vectors)
+            eig, _ = simulate_instance(desk_spec, cfg.replicate_seed(r), True)
             want = [alignment(eig, None, desk_spec.spikes, nu).inner ** 2 for nu in range(1, 5)]
             np.testing.assert_array_equal(rep["inner_sq"][r], want)
 
@@ -602,12 +600,12 @@ class TestKernelAgainstDenseReference:
         )
         for r in range(0, KERNEL_SEEDS, 10):
             nu = 1 + r % 4
-            inst = simulate_instance(desk_spec, cfg.replicate_seed(r), True, nu)
+            got, trace = simulate_instance(desk_spec, cfg.replicate_seed(r), True, nu)
             eig, m_diag = dense_reference[r]
-            np.testing.assert_allclose(inst.l_hat, eig.values[:4], rtol=KERNEL_RTOL)
-            np.testing.assert_allclose(inst.vectors, eig.vectors[:, :4], atol=KERNEL_RTOL)
+            np.testing.assert_allclose(got.values, eig.values[:4], rtol=KERNEL_RTOL)
+            np.testing.assert_allclose(got.vectors, eig.vectors[:, :4], atol=KERNEL_RTOL)
             want = np.sum(shifted_resolvent_diag(m_diag, eig.values[nu - 1]))
-            assert inst.bulk_trace == pytest.approx(want, rel=KERNEL_RTOL, abs=0.0)
+            assert trace == pytest.approx(want, rel=KERNEL_RTOL, abs=0.0)
 
     def test_multi_panel_instance_matches_dense_path(self, gaussian):
         # N = 600, larger than any Gram a workload forms; the reference is
@@ -616,14 +614,14 @@ class TestKernelAgainstDenseReference:
         spec = SpikedModelSpec(n=1200, N=600, M=4, spikes=spikes, law=gaussian)
         for nu in range(1, 5):
             seed = KERNEL_MASTER_SEED + nu
-            inst = simulate_instance(spec, seed, True, nu)
+            got, trace = simulate_instance(spec, seed, True, nu)
             X, Z = generate_data(spec, seed)
             eig = sym_eigen((X @ X.T) / spec.n)
-            np.testing.assert_allclose(inst.l_hat, eig.values[:4], rtol=KERNEL_RTOL)
-            np.testing.assert_allclose(inst.vectors, eig.vectors[:, :4], atol=KERNEL_RTOL)
+            np.testing.assert_allclose(got.values, eig.values[:4], rtol=KERNEL_RTOL)
+            np.testing.assert_allclose(got.vectors, eig.vectors[:, :4], atol=KERNEL_RTOL)
             m_diag = block_decompose(Z, spec.spikes).M_diag
             want = np.sum(shifted_resolvent_diag(m_diag, eig.values[nu - 1]))
-            assert inst.bulk_trace == pytest.approx(want, rel=KERNEL_RTOL, abs=0.0)
+            assert trace == pytest.approx(want, rel=KERNEL_RTOL, abs=0.0)
 
 
 class TestGramOnlyForTheTrace:
