@@ -327,7 +327,7 @@ def series_expansion_check(
     """Check the entrywise series for a_nu - e_nu and the Sigma3 identity.
 
     Builds M_nu = R_nu D_nu - (l_hat - l) R_nu with
-    D_nu = S_AA - Lambda + Lambda^{1/2} T^T M (l_hat I - M)^{-1} T Lambda^{1/2},
+    D_nu = S_AA - Lambda + S_AB (l_hat I - S_BB)^{-1} S_BA,
     accumulates partial sums Sigma_{0,k} = sum_{j<=J} ((-M_nu)^j R_nu D_nu e_nu)_k,
     and reports (i) the worst entry defect of
     (a - e)_k = (||a - e||^2 / 2 - 1) Sigma_{0,k} over k != nu, (ii) the gap

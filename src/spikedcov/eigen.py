@@ -2,17 +2,17 @@
 
 ``block_decompose`` reproduces the split of the sample covariance into the
 spike block A (first M coordinates of the identity frame) and the bulk
-block B, via an SVD of the bulk rows of Z: with (1/sqrt(n)) Z_B = V M^{1/2} H^T,
-the diagonal M holds the eigenvalues of S_BB and T = (1/sqrt(n)) H^T Z_A^T
-collects the cross terms. The two master identities tying
-(S_AA, T, M, Lambda) to a sample eigenpair are checked by
-``verify_master_identities``; a ``BlockDecomposition`` keeps those four
-and n, and forms neither S_AB nor S_BB.
+block B from the bulk Gram alone: with S_BB = (1/n) Z_B Z_B^T = V diag(M) V^T,
+it keeps S_AA, the bulk spectrum M and W = V^T S_BA, the cross block in the
+bulk eigenbasis. The Schur complement S_AB (l_hat I - S_BB)^{-1} S_BA of a
+sample eigenvalue l_hat is then W^T (l_hat I - M)^{-1} W, and the two master
+identities tying it to a sample eigenpair are checked by
+``verify_master_identities``.
 
-Dense eigen/SVD factorizations are delegated to LAPACK (Householder
-tridiagonalization paths) behind the contracts below. The replication
-harness needs only the top-M eigenpairs of a PSD Gram matrix and, for the
-trace centering, one resolvent trace of its bulk block at one point:
+Dense factorizations are LAPACK's symmetric eigensolver (``dsyevd``),
+Cholesky and QR, behind the contracts below. The replication harness needs
+only the top-M eigenpairs of a PSD Gram matrix and, for the trace
+centering, one resolvent trace of its bulk block at one point:
 ``top_eigenpairs`` gets the former by certified restarted block Krylov,
 from S or from its factor X; ``bulk_trace`` the latter from a Cholesky
 factor of l_hat I - S_BB, without the bulk spectrum; see README.
@@ -30,7 +30,6 @@ from .cores import openblas_functions
 from .errors import (
     ConfigInvalid,
     DegenerateAlignment,
-    DegenerateSVD,
     NoConvergence,
     NotInvertible,
     NotSymmetric,
@@ -59,13 +58,12 @@ class BlockDecomposition:
 
     S_AA: np.ndarray
     M_diag: np.ndarray
-    T: np.ndarray
-    Lambda: np.ndarray
+    W: np.ndarray
     n: int
 
     @property
     def M(self) -> int:
-        return self.Lambda.shape[0]
+        return self.S_AA.shape[0]
 
     @property
     def N(self) -> int:
@@ -269,12 +267,11 @@ def sample_covariance(X: np.ndarray) -> np.ndarray:
 
 
 def block_decompose(Z: np.ndarray, spikes) -> BlockDecomposition:
-    """Split Z into spike rows Z_A and bulk rows Z_B and factor the bulk via SVD.
+    """Split Z into spike rows Z_A and bulk rows Z_B and factor the bulk Gram.
 
-    With (1/sqrt(n)) Z_B = V diag(sqrt(M_diag)) H^T, H of shape n x (N-M)
-    whose first min(N-M, n) columns are orthonormal and whose trailing
-    (N-M) - n columns are zero when N - M > n, it keeps the bulk spectrum
-    M_diag, T = (1/sqrt(n)) H^T Z_A^T and S_AA. Z_A is read as a view; the
+    With X_A = Lambda^{1/2} Z_A and S_BB = (1/n) Z_B Z_B^T = V diag(M_diag) V^T
+    (``sym_eigen``, so M_diag is descending and holds all N - M values), it
+    keeps S_AA = (1/n) X_A X_A^T, M_diag and W = V^T (1/n) Z_B X_A^T. The
     result holds only new arrays, no view of Z.
     """
     Z = np.asarray(Z, dtype=np.float64)
@@ -283,24 +280,11 @@ def block_decompose(Z: np.ndarray, spikes) -> BlockDecomposition:
     N, n = Z.shape
     if not M < N:
         raise ConfigInvalid(f"need M < N, got M={M}, N={N}")
-    Z_A = Z[:M, :]
-    B = Z[M:, :] / np.sqrt(n)
-    p = N - M
-    try:
-        if p <= n:
-            _, svals, Ht = np.linalg.svd(B, full_matrices=False)
-            M_diag = svals**2
-            H = Ht.T
-        else:
-            _, svals, Ht = np.linalg.svd(B, full_matrices=True)
-            M_diag = np.concatenate([svals**2, np.zeros(p - n)])
-            H = np.concatenate([Ht.T, np.zeros((n, p - n))], axis=1)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateSVD(str(exc)) from exc
-    XA = np.sqrt(spikes)[:, np.newaxis] * Z_A
-    S_AA = (XA @ XA.T) / n
-    T = (H.T @ Z_A.T) / np.sqrt(n)
-    return BlockDecomposition(S_AA=S_AA, M_diag=M_diag, T=T, Lambda=spikes, n=n)
+    Z_B = Z[M:, :]
+    bulk = sym_eigen(sample_covariance(Z_B))
+    XA = np.sqrt(spikes)[:, np.newaxis] * Z[:M, :]
+    W = bulk.vectors.T @ (Z_B @ XA.T / n)
+    return BlockDecomposition(S_AA=sample_covariance(XA), M_diag=bulk.values, W=W, n=n)
 
 
 def alignment(eig: EigenSystem, U: np.ndarray | None, spikes, nu: int) -> Alignment:
@@ -330,31 +314,34 @@ def alignment(eig: EigenSystem, U: np.ndarray | None, spikes, nu: int) -> Alignm
     return Alignment(nu=nu, l_hat=float(eig.values[nu - 1]), a=a, R=float(R), inner=float(inner))
 
 
-def shifted_resolvent_diag(M_diag: np.ndarray, l_hat: float, power: int = 1) -> np.ndarray:
-    """Diagonal of M (l_hat I - M)^{-power}; requires l_hat > max(M_diag)."""
+def _shift(M_diag: np.ndarray, l_hat: float) -> np.ndarray:
+    """l_hat - M_diag; requires l_hat > max(M_diag)."""
     m = np.asarray(M_diag, dtype=np.float64)
     top = float(np.max(m)) if m.size else 0.0
     if l_hat <= top:
         raise NotInvertible(f"l_hat = {l_hat:g} <= max eigenvalue of S_BB = {top:g}")
-    return m / (l_hat - m) ** power
+    return l_hat - m
+
+
+def shifted_resolvent_diag(M_diag: np.ndarray, l_hat: float, power: int = 1) -> np.ndarray:
+    """Diagonal of M (l_hat I - M)^{-power}; requires l_hat > max(M_diag)."""
+    return np.asarray(M_diag, dtype=np.float64) / _shift(M_diag, l_hat) ** power
 
 
 def spike_quadratic_form(bd: BlockDecomposition, l_hat: float, power: int = 1) -> np.ndarray:
-    """Lambda^{1/2} T^T M (l_hat I - M)^{-power} T Lambda^{1/2} (M x M)."""
-    d = shifted_resolvent_diag(bd.M_diag, l_hat, power)
-    sqrt_l = np.sqrt(bd.Lambda)
-    W = bd.T.T @ (d[:, np.newaxis] * bd.T)
-    W = (W + W.T) / 2.0
-    return sqrt_l[:, np.newaxis] * W * sqrt_l[np.newaxis, :]
+    """S_AB (l_hat I - S_BB)^{-power} S_BA = W^T (l_hat I - M)^{-power} W (M x M)."""
+    d = 1.0 / _shift(bd.M_diag, l_hat) ** power
+    Q = bd.W.T @ (d[:, np.newaxis] * bd.W)
+    return (Q + Q.T) / 2.0
 
 
 def verify_master_identities(bd: BlockDecomposition, al: Alignment) -> dict:
     """Residuals of the two exact eigenpair identities.
 
     r4 is the 2-norm defect of a_nu as an eigenvector of
-    S_AA + Lambda^{1/2} T^T M (l_hat I - M)^{-1} T Lambda^{1/2} with
-    eigenvalue l_hat; r5 compares the squared resolvent quadratic form
-    against R^2 / (1 - R^2). Both vanish in exact arithmetic.
+    S_AA + S_AB (l_hat I - S_BB)^{-1} S_BA with eigenvalue l_hat; r5
+    compares the squared resolvent quadratic form against R^2 / (1 - R^2).
+    Both vanish in exact arithmetic.
     """
     K1 = bd.S_AA + spike_quadratic_form(bd, al.l_hat, power=1)
     r4 = float(np.linalg.norm(K1 @ al.a - al.l_hat * al.a))

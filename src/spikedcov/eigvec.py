@@ -39,11 +39,10 @@ class RatioCoefficients:
 class EigvecStatistic:
     variant: str
     value: float
-    empirical: bool
     nu: int
 
 
-def ratio_coefficients(spikes, nu: int, n: int, M: int) -> RatioCoefficients:
+def ratio_coefficients(spikes, nu: int, M: int) -> RatioCoefficients:
     """Ratio coefficients at spike nu; requires separation (no equal spikes)."""
     ls = np.atleast_1d(np.asarray(spikes, dtype=np.float64))
     l_nu = ls[nu - 1]
@@ -64,12 +63,11 @@ def eigvec_statistic(
     N: int,
     M: int,
     variant: str,
-    empirical: bool = False,
 ) -> EigvecStatistic:
     """One consistency statistic from a computed alignment.
 
     ``spikes_or_lhat`` carries the true spikes, or the top-M sample
-    eigenvalues when ``empirical`` is set (they then replace the true ones
+    eigenvalues of an empirical run (they then replace the true ones
     throughout the left-hand quantities).
     """
     ls = np.atleast_1d(np.asarray(spikes_or_lhat, dtype=np.float64))
@@ -78,13 +76,13 @@ def eigvec_statistic(
     if variant == "A":
         value = l_nu * one_minus - N / n
     elif variant in ("B", "C2"):
-        rc = ratio_coefficients(ls, nu, n, M)
+        rc = ratio_coefficients(ls, nu, M)
         value = l_nu * one_minus - (l_nu / n) * float(np.sum(rc.c)) - N / n
     elif variant == "C1":
         value = n * one_minus
     else:
         raise ConfigInvalid(f"unknown variant {variant!r}")
-    return EigvecStatistic(variant=variant, value=float(value), empirical=empirical, nu=nu)
+    return EigvecStatistic(variant=variant, value=float(value), nu=nu)
 
 
 def chi_mixture_sample(c, seed: int, size: int | None = None):

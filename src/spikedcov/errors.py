@@ -29,10 +29,6 @@ class NoConvergence(NumericPrecondition):
     """Iterative solver exceeded its iteration budget."""
 
 
-class DegenerateSVD(NumericPrecondition):
-    pass
-
-
 class NotInvertible(NumericPrecondition):
     """A shifted matrix l*I - M is not invertible (spike below bulk edge)."""
 

@@ -200,16 +200,6 @@ class SpikedModelSpec:
         return np.sqrt(self.spikes)
 
 
-@dataclass(frozen=True)
-class SeparationProfile:
-    """Multiplicative-gap profile of spike ``nu`` (1-based)."""
-
-    nu: int
-    eps0: float
-    ratios: np.ndarray
-    separated: bool
-
-
 def sample_entry_matrix(rows: int, cols: int, law: EntryLaw, seed: int) -> np.ndarray:
     """``rows x cols`` matrix of i.i.d. draws from ``law``.
 
@@ -236,8 +226,8 @@ def generate_data(spec: SpikedModelSpec, seed: int) -> tuple[np.ndarray, np.ndar
     return spike_entries(spec, z.copy()), z
 
 
-def check_separation(spec: SpikedModelSpec, nu: int, eps0: float) -> SeparationProfile:
-    """Evaluate the two-sided multiplicative gap condition at spike ``nu``.
+def check_separation(spec: SpikedModelSpec, nu: int, eps0: float) -> bool:
+    """Whether spike ``nu`` (1-based) meets the two-sided multiplicative gap condition.
 
     Convention l_0 = l_{M+1} = 1. The upper-gap constraint l_{nu-1}/l_nu is
     only applied for nu >= 2: at nu = 1 the literal convention would read
@@ -251,6 +241,4 @@ def check_separation(spec: SpikedModelSpec, nu: int, eps0: float) -> SeparationP
     lower_next = ls[nu] if nu < spec.M else 1.0
     lower_ok = l_nu / lower_next > 1.0 + eps0
     upper_ok = True if nu == 1 else ls[nu - 2] / l_nu > 1.0 + eps0
-    return SeparationProfile(
-        nu=nu, eps0=eps0, ratios=ls / l_nu, separated=bool(lower_ok and upper_ok)
-    )
+    return bool(lower_ok and upper_ok)

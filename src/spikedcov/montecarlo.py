@@ -218,7 +218,7 @@ def _replicate_value(config: ExperimentConfig, r: int, x_shift: float):
             return np.vstack([max_err, np.square(inner)]), None, seed
         al = alignment(eig, None, spec.spikes, nu)
         source = eig.values if config.empirical else spec.spikes
-        es = eigvec_statistic(al, source, nu, spec.n, spec.N, spec.M, stat[7:], config.empirical)
+        es = eigvec_statistic(al, source, nu, spec.n, spec.N, spec.M, stat[7:])
         return es.value, None, seed
     except REPLICATE_FAULTS as exc:
         return math.nan, type(exc).__name__, seed
@@ -230,7 +230,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if config.statistic not in CLT_STATISTICS + EIGVEC_STATISTICS:
         raise ConfigInvalid(f"{config.statistic!r} is not a clt or eigvec statistic")
     config_flags = []
-    if not check_separation(config.spec, config.nu, config.eps0).separated:
+    if not check_separation(config.spec, config.nu, config.eps0):
         config_flags.append("not_separated")
     if config.spec.spikes[config.nu - 1] <= 1.0 + config.eps0:
         config_flags.append("no_divergent_spike")
@@ -296,7 +296,7 @@ def consistency_report(config: ExperimentConfig) -> dict:
     if spec.spikes[-1] <= 1.0 + config.eps0:
         flags.append("no_divergent_spike")
     for nu in range(1, spec.M + 1):
-        if not check_separation(spec, nu, config.eps0).separated:
+        if not check_separation(spec, nu, config.eps0):
             flags.append(f"not_separated:{nu}")
 
     results = fan_out(

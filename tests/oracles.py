@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: schoolbook polynomial-matrix
 products, fresh expansion of each power, exact rational arithmetic for the
-tiny cases, high-precision Newton refinement for roots, and whole draws
-for the streamed concentration check. None of it shares code with the
+tiny cases, high-precision Newton refinement for roots, an SVD of the bulk
+rows for the block decomposition, and whole draws for the streamed
+concentration check. None of it shares code with the
 package implementations it checks, apart from the samplers that draw the
 whole matrices (checked against Box-Muller in test_rng). The RNG oracles
 take only a stream's key from ``Stream``: they read a numpy Philox
@@ -22,7 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from spikedcov.centering import spike_resolvent
-from spikedcov.eigen import shifted_resolvent_diag, spike_quadratic_form
+from spikedcov.eigen import BlockDecomposition, spike_quadratic_form
 from spikedcov.errors import NotInvertible, NumericPrecondition, SpikeAtOne, SpikedCovError
 from spikedcov.montecarlo import extreme_singular_values
 from spikedcov.mp import MPParams
@@ -396,6 +397,29 @@ def chi_mixture_moment(c, m: int) -> float:
     return total
 
 
+def svd_block_decompose(Z, spikes) -> BlockDecomposition:
+    """``block_decompose`` through an SVD of the bulk rows instead of their Gram.
+
+    With (1/sqrt(n)) Z_B = V diag(s) H^T (thin SVD, k = min(N - M, n)
+    values) and T = H^T Z_A^T / sqrt(n), the cross block is
+    S_BA = V diag(s) T Lambda^{1/2}, so in the basis V it is
+    W = diag(s) T Lambda^{1/2}. When N - M > n, M_diag gains (N - M) - n
+    zeros and W as many zero rows, for the null space of Z_B^T.
+    """
+    Z = np.asarray(Z, dtype=np.float64)
+    ls = np.atleast_1d(np.asarray(spikes, dtype=np.float64))
+    M = len(ls)
+    N, n = Z.shape
+    Z_A = Z[:M]
+    _, s, Ht = np.linalg.svd(Z[M:] / np.sqrt(n), full_matrices=False)
+    T = (Ht @ Z_A.T) / np.sqrt(n)
+    pad = N - M - len(s)
+    M_diag = np.concatenate([s**2, np.zeros(pad)])
+    W = np.concatenate([s[:, np.newaxis] * T * np.sqrt(ls), np.zeros((pad, M))])
+    XA = np.sqrt(ls)[:, np.newaxis] * Z_A
+    return BlockDecomposition(S_AA=(XA @ XA.T) / n, M_diag=M_diag, W=W, n=n)
+
+
 def lemma_diagnostics(bd, al, spikes, nu, n, N, M) -> dict:
     """Numerical values of the three auxiliary-lemma statements.
 
@@ -406,12 +430,13 @@ def lemma_diagnostics(bd, al, spikes, nu, n, N, M) -> dict:
     """
     ls = np.atleast_1d(np.asarray(spikes, dtype=np.float64))
     l_nu = ls[nu - 1]
-    t_nu = bd.T[:, nu - 1]
     mask = np.arange(M) != nu - 1
-    d1 = shifted_resolvent_diag(bd.M_diag, al.l_hat, power=1)
-    d2 = shifted_resolvent_diag(bd.M_diag, al.l_hat, power=2)
-    g1 = bd.T.T @ (d1 * t_nu)
-    g2 = bd.T.T @ (d2 * t_nu)
+    # W = M^{1/2} T Lambda^{1/2} (see svd_block_decompose), so
+    # t_k^T M (l_hat I - M)^{-p} t_nu is entry (k, nu) of the quadratic form
+    # W^T (l_hat I - M)^{-p} W divided by sqrt(l_k l_nu)
+    scale = np.sqrt(ls * l_nu)
+    g1 = spike_quadratic_form(bd, al.l_hat, power=1)[:, nu - 1] / scale
+    g2 = spike_quadratic_form(bd, al.l_hat, power=2)[:, nu - 1] / scale
     sum_sq_1 = float(np.sum(g1[mask] ** 2))
     sum_sq_2 = float(np.sum(g2[mask] ** 2))
     r = spike_resolvent(ls, nu)

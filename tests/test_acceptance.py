@@ -370,7 +370,7 @@ def eigvec_runs():
             master_seed=c_cfg["master_seed"], statistic="eigvec_C1", workers=WORKERS,
         )
     )
-    rc = ratio_coefficients(spec_c.spikes, c_cfg["nu"], c_cfg["n"], c_cfg["M"])
+    rc = ratio_coefficients(spec_c.spikes, c_cfg["nu"], c_cfg["M"])
     mixture = chi_mixture_sample(rc.c, seed=c_cfg["mixture_seed"], size=c_cfg["mixture_samples"])
     out["ks_c1"] = ks_statistic(rep_c.samples, ecdf(mixture))
 

@@ -500,9 +500,7 @@ class TestSeriesExpansion:
 
         M, p, n = 3, 6, 40
         spikes = np.array([8.0, 4.0, 2.0])
-        bd = BlockDecomposition(
-            S_AA=np.diag(spikes), M_diag=np.zeros(p), T=np.zeros((p, M)), Lambda=spikes, n=n
-        )
+        bd = BlockDecomposition(S_AA=np.diag(spikes), M_diag=np.zeros(p), W=np.zeros((p, M)), n=n)
         e1 = np.zeros(M)
         e1[0] = 1.0
         al = Alignment(nu=1, l_hat=8.0, a=e1, R=0.0, inner=1.0)
@@ -515,8 +513,7 @@ class TestSeriesExpansion:
         from spikedcov.eigen import Alignment, BlockDecomposition
 
         spikes = np.array([2.0, 1.0])
-        bd = BlockDecomposition(S_AA=np.diag(spikes), M_diag=np.zeros(1), T=np.zeros((1, 2)),
-                                Lambda=spikes, n=10)
+        bd = BlockDecomposition(S_AA=np.diag(spikes), M_diag=np.zeros(1), W=np.zeros((1, 2)), n=10)
         al = Alignment(nu=1, l_hat=2.0, a=np.array([1.0, 0.0]), R=0.0, inner=1.0)
         with pytest.raises(ConfigInvalid):
             series_expansion_check(bd, al, spikes, 1, J=J)

@@ -12,6 +12,7 @@ from spikedcov.eigen import (
     bulk_trace,
     sample_covariance,
     shifted_resolvent_diag,
+    spike_quadratic_form,
     sym_eigen,
     top_eigenpairs,
     top_eigenvalues,
@@ -20,6 +21,8 @@ from spikedcov.eigen import (
 from spikedcov.errors import DegenerateAlignment, NotInvertible, NotSymmetric
 from spikedcov.model import EntryLaw, SpikedModelSpec, generate_data, random_orthogonal
 from spikedcov.rng import Stream
+
+from .oracles import svd_block_decompose
 
 
 def random_symmetric(dim, seed):
@@ -277,7 +280,8 @@ class TestTopEigenpairsAgainstDense:
             np.testing.assert_array_equal(vecs, want.vectors[:, :M])
 
 
-# bulk_trace against the sum over block_decompose's spectrum: relative
+# bulk_trace against the sum over the SVD route's bulk spectrum
+# (oracles.svd_block_decompose), a factorization it does not share: relative
 # 1e-12 times the condition number l_hat / (l_hat - max M_diag) of
 # l_hat I - S_BB. The worst measured ratio over 2000 sweep cases is 1.5e-13.
 BULK_TRACE_RTOL = 1e-12
@@ -304,7 +308,7 @@ class TestBulkSpectrum:
         X = Z.copy()
         X[:2] *= np.sqrt(spikes)[:, None]
         S = sample_covariance(X)
-        m_diag = block_decompose(Z, spikes).M_diag
+        m_diag = svd_block_decompose(Z, spikes).M_diag
         for l_hat in (*top_eigenvalues(S, 2), 1.01 * m_diag[0], 1e3):
             want = np.sum(shifted_resolvent_diag(m_diag, l_hat))
             assert bulk_trace(S, 2, l_hat) == pytest.approx(want, rel=1e-12)
@@ -320,7 +324,7 @@ class TestBulkSpectrum:
             bulk_trace(S, 1, 2.5)
         Z = Stream(9, "bulk", 40, 30).normals((40, 30))
         S = sample_covariance(Z)
-        top = block_decompose(Z, [1.0]).M_diag[0]
+        top = svd_block_decompose(Z, [1.0]).M_diag[0]
         for l_hat in (top * (1.0 - 1e-9), 0.5 * top, 0.0, -1.0):
             with pytest.raises(NotInvertible):
                 bulk_trace(S, 1, l_hat)
@@ -356,7 +360,7 @@ class TestBulkSpectrum:
         spec = SpikedModelSpec(n=n, N=N, M=M, spikes=spikes, law=BULK_TRACE_LAWS[law])
         X, Z = generate_data(spec, seed)
         S = sample_covariance(X)
-        m_diag = block_decompose(Z, spec.spikes).M_diag
+        m_diag = svd_block_decompose(Z, spec.spikes).M_diag
         top = np.max(m_diag)
         for l_hat in sym_eigen(S).values[:M]:
             if l_hat > top * (1.0 + 1e-6):
@@ -428,57 +432,79 @@ class TestSampleCovariance:
         np.testing.assert_array_equal(X, original)
 
 
-class TestBlockDecompose:
-    """M_diag is the bulk spectrum and T is fixed by its Gram identities.
+# block_decompose against the SVD route, relative to the largest entry: the
+# prototype measured at most 1.8e-15 on the quadratic forms.
+BLOCK_DECOMPOSE_RTOL = 1e-12
 
-    With (1/sqrt(n)) Z_B = V diag(sqrt(M_diag)) H^T and T = H^T Z_A^T / sqrt(n):
-    T^T diag(M_diag) T = (Z_A Z_B^T)(Z_B Z_A^T) / n^2 for every shape, and when
-    N - M >= n, H H^T = I gives T^T T = Z_A Z_A^T / n and the rows of T past n
-    are zero (the padding columns of H).
+
+class TestBlockDecompose:
+    """block_decompose against the SVD route of ``oracles.svd_block_decompose``.
+
+    The two share no factorization: the bulk spectrum and the quadratic forms
+    S_AB (l_hat I - S_BB)^{-power} S_BA agree to 1e-12 relative, and
+    W^T W = S_AB S_BA for any orthonormal bulk basis.
     """
 
     @staticmethod
-    def cross_gram(Z, M, n):
-        C = Z[:M] @ Z[M:].T
-        return C @ C.T / n**2
+    def assert_matches_svd_route(bd, Z, spikes, l_hats):
+        ref = svd_block_decompose(Z, spikes)
+        assert (bd.n, bd.M, bd.N) == (ref.n, ref.M, ref.N)
+        scale = np.max(np.abs(ref.M_diag))
+        np.testing.assert_allclose(bd.M_diag, ref.M_diag, rtol=0, atol=BLOCK_DECOMPOSE_RTOL * scale)
+        for l_hat in l_hats:
+            for power in (1, 2):
+                want = spike_quadratic_form(ref, l_hat, power)
+                got = spike_quadratic_form(bd, l_hat, power)
+                assert np.max(np.abs(got - want)) <= BLOCK_DECOMPOSE_RTOL * np.max(np.abs(want))
+
+    @staticmethod
+    def cross_gram(Z, spikes):
+        """S_AB S_BA from its definition."""
+        M, n = len(spikes), Z.shape[1]
+        C = (np.sqrt(spikes)[:, None] * Z[:M]) @ Z[M:].T / n
+        return C @ C.T
 
     def test_hand_computed_bulk(self):
-        # Z with M = 1 spike row, bulk Z_B = [[3,0],[0,4]], n = 2:
-        # S_BB = (1/2) Z_B Z_B^T = diag(4.5, 8) so M_diag desc = (8, 4.5);
-        # H = (+-e2, +-e1), so |T| = (1, 1) / sqrt(2)
+        # Z with M = 1 spike row of spike 2, bulk Z_B = [[3,0],[0,4]], n = 2:
+        # S_BB = diag(4.5, 8) so M_diag desc = (8, 4.5) with V = (+-e2, +-e1);
+        # S_BA = Z_B sqrt(2) (1, 1)^T / 2 = (3, 4) / sqrt(2), so
+        # |W| = (4, 3) / sqrt(2) and at l_hat = 10 the forms are
+        # 8/2 + 4.5/5.5 = 53/11 and 8/4 + 4.5/30.25 = 260/121
         Z = np.array([[1.0, 1.0], [3.0, 0.0], [0.0, 4.0]])
         bd = block_decompose(Z, [2.0])
-        np.testing.assert_allclose(bd.M_diag, [8.0, 4.5], atol=1e-12)
-        np.testing.assert_allclose(np.abs(bd.T), np.full((2, 1), np.sqrt(0.5)), atol=1e-12)
-        # 8 / 2 + 4.5 / 2 = |(3, 4)|^2 / 4
-        np.testing.assert_allclose(bd.T.T @ (bd.M_diag[:, None] * bd.T), [[6.25]], atol=1e-12)
+        np.testing.assert_allclose(bd.M_diag, [8.0, 4.5], rtol=1e-15)
+        np.testing.assert_allclose(np.abs(bd.W), [[4.0 / np.sqrt(2.0)], [3.0 / np.sqrt(2.0)]], rtol=1e-14)
+        np.testing.assert_allclose(bd.S_AA, [[2.0]], rtol=1e-15)  # 2 (1 + 1) / 2
+        np.testing.assert_allclose(spike_quadratic_form(bd, 10.0, 1), [[53.0 / 11.0]], rtol=1e-14)
+        np.testing.assert_allclose(spike_quadratic_form(bd, 10.0, 2), [[260.0 / 121.0]], rtol=1e-14)
         assert (bd.n, bd.M, bd.N) == (2, 1, 3)
+        self.assert_matches_svd_route(bd, Z, [2.0], (10.0, 8.5))
 
-    def test_padding_branch_tall_bulk(self, gaussian):
-        # N - M > n: M_diag and the rows of T gain exactly (N - M) - n zeros
+    def test_tall_bulk_matches_the_svd_route(self):
+        # N - M > n: S_BB has rank n, and the (N - M) - n values past it are
+        # rounding-level where the SVD route pads exact zeros
         Z = Stream(7, "tall").normals((12, 5))
-        bd = block_decompose(Z, [3.0, 2.0])
-        assert bd.T.shape == (10, 2)
-        np.testing.assert_array_equal(bd.T[5:], 0.0)
-        np.testing.assert_array_equal(bd.M_diag[5:], 0.0)
-        np.testing.assert_allclose(bd.T.T @ bd.T, Z[:2] @ Z[:2].T / 5, atol=1e-12)
-        np.testing.assert_allclose(
-            bd.T.T @ (bd.M_diag[:, None] * bd.T), self.cross_gram(Z, 2, 5), atol=1e-12
-        )
+        spikes = [3.0, 2.0]
+        bd = block_decompose(Z, spikes)
+        assert bd.M_diag.shape == (10,) and bd.W.shape == (10, 2)
+        top = bd.M_diag[0]
+        assert np.all(np.abs(bd.M_diag[5:]) <= 1e-14 * top)
+        np.testing.assert_allclose(bd.W.T @ bd.W, self.cross_gram(Z, spikes), rtol=1e-12)
+        self.assert_matches_svd_route(bd, Z, spikes, (1.01 * top, 2.0 * top, 50.0 * top))
 
     def test_factorization_invariants(self, small_spec):
-        _, Z = generate_data(small_spec, 11)
+        X, Z = generate_data(small_spec, 11)
         bd = block_decompose(Z, small_spec.spikes)
         n = small_spec.n
         assert (bd.n, bd.M, bd.N) == (n, 4, small_spec.N)
-        assert bd.T.shape == (small_spec.N - 4, 4)
-        want = self.cross_gram(Z, 4, n)
-        got = bd.T.T @ (bd.M_diag[:, None] * bd.T)
-        assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
-        sqrt_l = np.sqrt(small_spec.spikes)
-        XA = sqrt_l[:, None] * Z[:4]
-        np.testing.assert_allclose(bd.S_AA, XA @ XA.T / n, rtol=0, atol=1e-12 * np.max(bd.S_AA))
-        for held in (bd.S_AA, bd.M_diag, bd.T):  # Z may be scaled in place after the split
+        assert bd.W.shape == (small_spec.N - 4, 4)
+        want = self.cross_gram(Z, small_spec.spikes)
+        assert np.max(np.abs(bd.W.T @ bd.W - want)) <= 1e-12 * np.max(np.abs(want))
+        XA = np.sqrt(small_spec.spikes)[:, None] * Z[:4]
+        np.testing.assert_array_equal(bd.S_AA, (XA @ XA.T) / n)
+        l_hats = top_eigenvalues(sample_covariance(X), 4)
+        self.assert_matches_svd_route(bd, Z, small_spec.spikes, l_hats)
+        for held in (bd.S_AA, bd.M_diag, bd.W):  # Z may be scaled in place after the split
             assert not np.shares_memory(held, Z)
 
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -486,15 +512,16 @@ class TestBlockDecompose:
         Z = np.asarray(generate_data(small_spec, 19)[1], order=order)
         bd = block_decompose(Z, small_spec.spikes)
         np.testing.assert_array_equal(bd.S_AA, bd.S_AA.T)
+        Q = spike_quadratic_form(bd, 1.01 * bd.M_diag[0])
+        np.testing.assert_array_equal(Q, Q.T)
 
     def test_bulk_spectrum_matches_sym_eigen(self, small_spec):
+        # M_diag is the whole spectrum of S_BB, descending
         _, Z = generate_data(small_spec, 17)
         bd = block_decompose(Z, small_spec.spikes)
-        Z_B = Z[4:]
-        direct = sym_eigen(Z_B @ Z_B.T / small_spec.n).values
-        np.testing.assert_allclose(
-            np.sort(direct), np.sort(bd.M_diag), rtol=1e-8, atol=1e-10
-        )
+        direct = sym_eigen(sample_covariance(Z[4:])).values
+        np.testing.assert_array_equal(bd.M_diag, direct)
+        assert np.all(np.diff(bd.M_diag) <= 0.0)
 
 
 class TestAlignment:

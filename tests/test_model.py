@@ -158,21 +158,21 @@ def test_spike_rules():
 
 def test_separation_top_spike_has_no_upper_constraint(gaussian):
     spec = SpikedModelSpec(n=100, N=80, M=2, spikes=[10.0, 2.0], law=gaussian)
-    assert check_separation(spec, 1, 0.5).separated
+    assert check_separation(spec, 1, 0.5)
     spec2 = SpikedModelSpec(n=100, N=80, M=2, spikes=[10.0, 9.0], law=gaussian)
-    assert not check_separation(spec2, 1, 0.5).separated
+    assert not check_separation(spec2, 1, 0.5)
 
 
 def test_separation_interior_spike(gaussian):
     spec = SpikedModelSpec(n=100, N=80, M=3, spikes=[100.0, 10.0, 1.5], law=gaussian)
-    assert check_separation(spec, 2, 0.5).separated
+    assert check_separation(spec, 2, 0.5)
     with pytest.raises(ConfigInvalid):
         check_separation(spec, 4, 0.5)
 
 
 def test_separation_bottom_spike_vs_bulk(gaussian):
     spec = SpikedModelSpec(n=100, N=80, M=2, spikes=[10.0, 1.2], law=gaussian)
-    assert not check_separation(spec, 2, 0.5).separated  # 1.2/1 < 1.5
+    assert not check_separation(spec, 2, 0.5)  # 1.2/1 < 1.5
 
 
 @settings(max_examples=25, deadline=None)

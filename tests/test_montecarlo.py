@@ -512,8 +512,9 @@ KERNEL_SEEDS = 50
 KERNEL_MASTER_SEED = 2027
 # The kernel (certified block Krylov on the draw, or on the Gram matrix when
 # the Cholesky bulk trace of S_BB needs it) and the dense path (sym_eigen,
-# block_decompose's SVD) round differently; measured gaps at desk size are
-# below 1e-11 relative (eigvec_B 9.8e-12, every other statistic < 2e-12).
+# block_decompose's eigendecomposition of S_BB) round differently; measured
+# gaps at desk size are below 1e-11 relative (eigvec_B 9.8e-12, every other
+# statistic < 2e-12).
 KERNEL_RTOL = 1e-9
 
 
