@@ -311,10 +311,6 @@ class SeriesReport:
     entry_residual: float
     sigma3_residual: float
     decay_ratio: float
-    operator_norm: float
-    sigma0: float
-    sigma3: float
-    terms: int
 
 
 def series_expansion_check(
@@ -366,12 +362,4 @@ def series_expansion_check(
     sigma0 = float(partial[mask] @ partial[mask]) if M > 1 else 0.0
     sigma3 = sq - sq * sq / 4.0
     sigma3_res = abs(sigma3 - sigma0 / (1.0 + sigma0))
-    return SeriesReport(
-        entry_residual=entry_res,
-        sigma3_residual=float(sigma3_res),
-        decay_ratio=max_ratio,
-        operator_norm=op_norm,
-        sigma0=sigma0,
-        sigma3=float(sigma3),
-        terms=J + 1,
-    )
+    return SeriesReport(entry_res, float(sigma3_res), max_ratio)

@@ -30,16 +30,13 @@ from .rng import Stream
 class RatioCoefficients:
     """c_k = l_k l_nu / (l_k - l_nu)^2 over k != nu, and their spread."""
 
-    nu: int
     c: np.ndarray
     sigma_nu: float
 
 
 @dataclass(frozen=True)
 class EigvecStatistic:
-    variant: str
     value: float
-    nu: int
 
 
 def ratio_coefficients(spikes, nu: int, M: int) -> RatioCoefficients:
@@ -52,7 +49,7 @@ def ratio_coefficients(spikes, nu: int, M: int) -> RatioCoefficients:
         raise NotSeparated(f"a spike coincides with l_{nu} = {l_nu:g}")
     c = ls[mask] * l_nu / gaps**2
     sigma_nu = float(np.sum(c**2) / M)
-    return RatioCoefficients(nu=nu, c=c, sigma_nu=sigma_nu)
+    return RatioCoefficients(c=c, sigma_nu=sigma_nu)
 
 
 def eigvec_statistic(
@@ -82,7 +79,7 @@ def eigvec_statistic(
         value = n * one_minus
     else:
         raise ConfigInvalid(f"unknown variant {variant!r}")
-    return EigvecStatistic(variant=variant, value=float(value), nu=nu)
+    return EigvecStatistic(float(value))
 
 
 def chi_mixture_sample(c, seed: int, size: int | None = None):

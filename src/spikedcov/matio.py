@@ -148,16 +148,15 @@ def read_csv(path) -> np.ndarray:
             if fh.read().strip():
                 raise ValueError(f"header says {(rows, cols)} but the payload holds values")
             return np.empty((rows, cols))
-        start = fh.tell()  # loadtxt only warns on a payload with no values
-        if not any(line.split("#", 1)[0].strip() for line in iter(fh.readline, "")):
+        # loadtxt only warns on no values, or fails on a line of spaces
+        if not any(line.split("#", 1)[0].strip() for line in fh):
             raise ValueError(f"header says {(rows, cols)} but the payload holds no values")
-        fh.seek(start)
-        # a row more than the header's: loadtxt allocates that once instead of
-        # growing its array, and a payload with extra rows still mismatches.
-        # Blank lines count towards no limit; loadtxt warns that they once did.
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "Input line", UserWarning)
-            data = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=rows + 1)
+    # a row more than the header's: loadtxt allocates that once instead of
+    # growing its array, and a payload with extra rows still mismatches.
+    # Blank lines count towards no limit; loadtxt warns that they once did.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "Input line", UserWarning)
+        data = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1, max_rows=rows + 1, encoding="ascii")
     if data.shape != (rows, cols):
         raise ValueError(f"header says {(rows, cols)} but payload is {data.shape}")
     return data

@@ -322,7 +322,6 @@ def consistency_report(config: ExperimentConfig) -> dict:
         "successes": int(ok.sum()),
         "flagged": int((~ok).sum()),
         "seeds": [seed for _, _, seed in results],
-        "nu": config.nu,
     }
 
 
@@ -383,37 +382,23 @@ _SM_CHUNK = 128
 _SM_BLOCK = 1 << 18
 
 
-def extreme_singular_values(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(s_1, s_q) of each p x q matrix of the stack ``a``, from the eigenvalues of a^T a.
+def _outside_band(a: np.ndarray, lower: float, upper: float) -> list[bool]:
+    """Whether s_1 > upper or s_q < lower, for each p x q matrix of the stack ``a``.
 
-    The q x q Gram and its eigenvalues cost under a third of a batched SVD.
-    Eigenvalues below 0, which a rank-deficient matrix's rounding can
-    give, count as 0. Each s^2 is within 1e-12 s_1^2 of the SVD's.
+    s_1 < upper iff I - a^T a / upper^2 has a Cholesky factor, and s_q > lower
+    > 0 iff a^T a - lower^2 I has one: a matrix on an edge counts as outside.
+    upper >= 1 divides without overflow where upper^2 would overflow.
     """
-    ev = np.linalg.eigvalsh(np.matmul(a.transpose(0, 2, 1), a))  # ascending
-    np.maximum(ev, 0.0, out=ev)
-    return np.sqrt(ev[:, -1]), np.sqrt(ev[:, 0])
-
-
-def _sm_singular_values(p: int, q: int, law, reps: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(s_1, s_q) of each matrix of concentration_sm_check, in blocks of its draws.
-
-    Bit-identical to ``extreme_singular_values`` of whole draws of _SM_CHUNK
-    matrices at a time.
-    """
-    stream = Stream(seed, "concentration-sm", p, q, law.label())
-    draws, offset = [], 0
-    for done in range(0, reps, _SM_CHUNK):
-        count = min(_SM_CHUNK, reps - done) * p * q
-        draws.append((done, count, (offset,)))
-        offset += law.units(count)[1]
-    s1, sq = np.empty(reps), np.empty(reps)
-
-    def reduce(rows, a: np.ndarray) -> None:
-        s1[rows], sq[rows] = extreme_singular_values(a.reshape(-1, p, q))
-
-    _reduce_rows(law, stream, p * q, _SM_BLOCK, draws, reduce)
-    return s1, sq
+    eye, outside = np.eye(a.shape[2]), []
+    for g in np.matmul(a.transpose(0, 2, 1), a):
+        try:
+            np.linalg.cholesky(eye - g / upper / upper)
+            if lower > 0.0:
+                np.linalg.cholesky(g - lower * lower * eye)
+            outside.append(False)
+        except np.linalg.LinAlgError:
+            outside.append(True)
+    return outside
 
 
 def concentration_sm_check(
@@ -429,8 +414,10 @@ def concentration_sm_check(
 
     A replicate violates when s_1 or s_q of a p x q matrix (q <= p) with
     i.i.d. entries from ``law`` leaves [sqrt(p) - C (sqrt(q) + t),
-    sqrt(p) + C (sqrt(q) + t)]. The true bound guarantees rate
-    <= 2 exp(-t^2) for a universal constant; C is a calibrated stand-in.
+    sqrt(p) + C (sqrt(q) + t)] (``_outside_band``). The true bound guarantees
+    rate <= 2 exp(-t^2) for a universal constant; C is a calibrated stand-in.
+    The matrices are drawn _SM_CHUNK at a time and reduced in blocks
+    (``_reduce_rows``), bit-identical to whole draws.
     """
     if p < 1 or q < 1 or reps < 1:
         raise ConfigInvalid(f"need p, q, reps >= 1, got ({p}, {q}, {reps})")
@@ -440,8 +427,19 @@ def concentration_sm_check(
         raise ConfigInvalid(f"t and C must be finite and >= 0, got t = {t}, C = {C}")
     lower = math.sqrt(p) - C * (math.sqrt(q) + t)
     upper = math.sqrt(p) + C * (math.sqrt(q) + t)
-    s1, sq = _sm_singular_values(p, q, law, reps, seed)
-    violations = int(np.sum((s1 > upper) | (s1 < lower) | (sq > upper) | (sq < lower)))
+    stream = Stream(seed, "concentration-sm", p, q, law.label())
+    draws, offset = [], 0
+    for done in range(0, reps, _SM_CHUNK):
+        count = min(_SM_CHUNK, reps - done) * p * q
+        draws.append((done, count, (offset,)))
+        offset += law.units(count)[1]
+    outside = np.empty(reps, dtype=bool)
+
+    def reduce(rows, a: np.ndarray) -> None:
+        outside[rows] = _outside_band(a.reshape(-1, p, q), lower, upper)
+
+    _reduce_rows(law, stream, p * q, _SM_BLOCK, draws, reduce)
+    violations = int(np.count_nonzero(outside))
     return {
         "violations": violations,
         "rate": violations / reps,
@@ -506,7 +504,6 @@ def concentration_hw_check(p: int, law, t_grid, reps: int, seed: int) -> dict:
         "shape": shape,
         "c_hw": fitted(tail_hw),
         "c_ahw": fitted(tail_ahw),
-        "trace": trace,
         "samples_hw": quad - trace,
         "reps": reps,
     }

@@ -3,8 +3,9 @@
 Everything here is deliberately naive: schoolbook polynomial-matrix
 products, fresh expansion of each power, exact rational arithmetic for the
 tiny cases, high-precision Newton refinement for roots, an SVD of the bulk
-rows for the block decomposition, and whole draws for the streamed
-concentration check. None of it shares code with the
+rows for the block decomposition, whole draws for the streamed
+concentration checks, and the eigenvalue rule for the singular-value
+band. None of it shares code with the
 package implementations it checks, apart from the samplers that draw the
 whole matrices (checked against Box-Muller in test_rng). The RNG oracles
 take only a stream's key from ``Stream``: they read a numpy Philox
@@ -25,7 +26,6 @@ import numpy as np
 from spikedcov.centering import spike_resolvent
 from spikedcov.eigen import BlockDecomposition, spike_quadratic_form
 from spikedcov.errors import NotInvertible, NumericPrecondition, SpikeAtOne, SpikedCovError
-from spikedcov.montecarlo import extreme_singular_values
 from spikedcov.mp import MPParams
 from spikedcov.rng import Stream
 
@@ -274,19 +274,29 @@ def hw_unstreamed(p, law, t_grid, reps, seed):
     }
 
 
-def sm_unstreamed(p, q, law, reps, seed):
-    """concentration_sm_check's per-matrix (s_1, s_q) from whole draws.
+def extreme_singular_values(a):
+    """(s_1, s_q) of each p x q matrix of the stack ``a``, from the eigenvalues of a^T a.
 
-    The formula the streamed check replaced: each chunk of up to 128
-    matrices drawn in one stack and reduced at once, by the check's own
-    ``extreme_singular_values`` (tested against the SVD on its own).
+    The eigenvalue rule concentration_sm_check replaced. Eigenvalues below
+    0, which a rank-deficient matrix's rounding can give, count as 0. Each
+    s^2 is within 1e-12 s_1^2 of the SVD's (tested on its own).
     """
+    ev = np.linalg.eigvalsh(np.matmul(a.transpose(0, 2, 1), a))  # ascending
+    np.maximum(ev, 0.0, out=ev)
+    return np.sqrt(ev[:, -1]), np.sqrt(ev[:, 0])
+
+
+def sm_whole_draws(p, q, law, reps, seed):
+    """concentration_sm_check's p x q matrices, each chunk of up to 128 drawn in one stack."""
     stream = Stream(seed, "concentration-sm", p, q, law.label())
-    parts = [
-        extreme_singular_values(law.sample(stream, (min(128, reps - done), p, q)))
-        for done in range(0, reps, 128)
-    ]
-    return tuple(np.concatenate(part) for part in zip(*parts))
+    for done in range(0, reps, 128):
+        yield law.sample(stream, (min(128, reps - done), p, q))
+
+
+def sm_band_oracle(a, lower, upper):
+    """Whether s_1 or s_q of each matrix of the stack ``a`` leaves [lower, upper]."""
+    s1, sq = extreme_singular_values(a)
+    return (s1 > upper) | (s1 < lower) | (sq > upper) | (sq < lower)
 
 
 # the paper's quantities that no command computes ---------------------------

@@ -31,7 +31,13 @@ from spikedcov.montecarlo import (
 )
 from spikedcov.rng import Stream
 
-from .oracles import ecdf, hw_unstreamed, sm_unstreamed
+from .oracles import (
+    ecdf,
+    extreme_singular_values,
+    hw_unstreamed,
+    sm_band_oracle,
+    sm_whole_draws,
+)
 
 
 @pytest.fixture(scope="module")
@@ -364,27 +370,53 @@ class TestConcentrationSM:
 
     LAWS = [EntryLaw.gaussian(), EntryLaw.uniform_scaled(), EntryLaw.two_point(0.05)]
 
+    @pytest.fixture
+    def reduced(self, monkeypatch):
+        """The matrices the check hands its reducer, by row, and how often each row."""
+        seen = {}
+        real = montecarlo._reduce_rows
+
+        def spy(law, stream, width, block, draws, reduce):
+            reps = sum(count for _, count, _ in draws) // width
+            seen.update(rows=np.full((reps, width), np.nan), hits=np.zeros(reps, dtype=int))
+
+            def record(rows, a):
+                seen["rows"][rows] = a.reshape(-1, width)
+                seen["hits"][rows] += 1
+                reduce(rows, a)
+
+            real(law, stream, width, block, draws, record)
+
+        monkeypatch.setattr(montecarlo, "_reduce_rows", spy)
+        return seen
+
+    def assert_streamed_as_whole_draws(self, reduced, p, q, law, reps, seed, C):
+        # every matrix reduced once, bit-equal to whole draws, and the count
+        # is the eigenvalue rule's on those draws (t = 0)
+        rec = concentration_sm_check(p, q, law, 0.0, reps, seed, C=C)
+        want = np.concatenate(list(sm_whole_draws(p, q, law, reps, seed)))
+        np.testing.assert_array_equal(reduced["hits"], 1, err_msg=f"{p}x{q} {reps}")
+        np.testing.assert_array_equal(reduced["rows"], want.reshape(reps, -1), err_msg=f"{p}x{q} {reps}")
+        assert rec["violations"] == np.count_nonzero(sm_band_oracle(want, *rec["band"]))
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("law", LAWS, ids=lambda law: law.label())
-    def test_streamed_bit_identical_to_whole_draws(self, monkeypatch, law, threads):
+    def test_streamed_bit_identical_to_whole_draws(self, monkeypatch, reduced, law, threads):
         monkeypatch.setenv("SPIKED_EIG_THREADS", threads)
         # p q odd and even; blocks of 1 to 3 matrices: an odd chunk's sines
         # start mid-matrix, so its matrices are cut and put back together
         for p, q, per_block in ((3, 1, 1), (7, 3, 2), (4, 2, 3), (5, 2, 1)):
             monkeypatch.setattr(montecarlo, "_SM_BLOCK", per_block * p * q)
             for reps in (1, 2, 127, 128, 129, 255, 257):
-                want = sm_unstreamed(p, q, law, reps, 21)
-                got = montecarlo._sm_singular_values(p, q, law, reps, 21)
-                for w, g in zip(want, got):
-                    np.testing.assert_array_equal(g, w, err_msg=f"{p}x{q} {reps}")
+                self.assert_streamed_as_whole_draws(reduced, p, q, law, reps, 21, C=0.5)
 
     @pytest.mark.parametrize("law", LAWS + [EntryLaw.two_point(0.5)], ids=lambda law: law.label())
     @pytest.mark.parametrize("p, q", [(3, 1), (7, 3), (4, 2), (5, 2), (6, 6), (100, 100), (400, 40)])
     def test_gram_reduction_matches_the_svd(self, law, p, q):
-        # the streaming tests' laws and shapes, q = p, and rank-deficient
-        # twopoint draws (repeated rows and columns)
+        # the eigenvalue oracle, on the streaming tests' laws and shapes,
+        # q = p, and rank-deficient twopoint draws (repeated rows and columns)
         a = law.sample(Stream(23, "sm-svd", p, q), (64 if p * q < 10_000 else 4, p, q))
-        s1, sq = montecarlo.extreme_singular_values(a)
+        s1, sq = extreme_singular_values(a)
         s = np.linalg.svd(a, compute_uv=False)
         scale = 1e-12 * s[:, 0] ** 2
         assert np.all(np.abs(s1**2 - s[:, 0] ** 2) <= scale)
@@ -394,18 +426,48 @@ class TestConcentrationSM:
     def test_gram_reduction_of_a_rank_deficient_matrix(self):
         a = np.outer([1.0, 2.0, 3.0, 4.0], [1.0, -1.0, 0.5])[np.newaxis]
         with np.errstate(invalid="raise"):
-            s1, sq = montecarlo.extreme_singular_values(a)
+            s1, sq = extreme_singular_values(a)
         assert s1[0] == pytest.approx(np.linalg.norm(a[0], 2), rel=1e-14)
         assert 0.0 <= sq[0] ** 2 <= 1e-12 * s1[0] ** 2
+        # s_q = 0 is below any lower edge > 0, and inside a band reaching 0
+        assert montecarlo._outside_band(a, 1e-3, 2.0 * s1[0]) == [True]
+        assert montecarlo._outside_band(a, 0.0, 2.0 * s1[0]) == [False]
+
+    @pytest.mark.parametrize("p, q, law, t, C, reps, seed, counts", [
+        # (s_1 > upper, s_q < lower, outside): the parent's counts, at least
+        # 6.6e-5 relative from an edge; the fourth has rank-deficient draws
+        (200, 10, EntryLaw.gaussian(), 0.0, 1.0, 300, 11, (41, 48, 81)),
+        (60, 20, EntryLaw.two_point(0.5), 0.0, 0.9, 200, 11, (38, 112, 122)),
+        (20, 1, EntryLaw.gaussian(), 0.0, 0.3, 500, 11, (165, 196, 361)),
+        (4, 2, EntryLaw.two_point(0.5), 0.0, 0.1, 200, 11, (None, None, 109)),
+        # the other sm configs of the tests and the acceptance settings
+        (1, 1, EntryLaw.gaussian(), 3.0, 2.0, 10_000, 2024, (0, 0, 0)),
+        (5, 2, EntryLaw.gaussian(), 0.0, 0.0, 100, 1, (None, None, 100)),
+        (20, 5, EntryLaw.gaussian(), 1.0, 2.0, 500, 7, (0, 0, 0)),
+        (50, 10, EntryLaw.gaussian(), 3.0, 2.0, 200, 0, (0, 0, 0)),
+        (400, 40, EntryLaw.gaussian(), 4.5, 2.0, 1000, 2024, (0, 0, 0)),
+        # upper^2 beyond the largest float, and upper itself infinite
+        (5, 2, EntryLaw.gaussian(), 1e160, 2.0, 100, 1, (0, 0, 0)),
+        (5, 2, EntryLaw.gaussian(), 1e300, 1e300, 100, 1, (0, 0, 0)),
+    ], ids=lambda v: v.label() if isinstance(v, EntryLaw) else None)
+    def test_band_decisions_match_the_eigenvalue_oracle(self, p, q, law, t, C, reps, seed, counts):
+        rec = concentration_sm_check(p, q, law, t, reps, seed, C=C)
+        lower, upper = rec["band"]
+        above = below = outside = 0
+        for a in sm_whole_draws(p, q, law, reps, seed):
+            want = sm_band_oracle(a, lower, upper)
+            np.testing.assert_array_equal(montecarlo._outside_band(a, lower, upper), want)
+            s1, sq = extreme_singular_values(a)
+            above, below = above + np.sum(s1 > upper), below + np.sum(sq < lower)
+            outside += np.count_nonzero(want)
+        assert rec["violations"] == outside == counts[2]
+        assert counts[:2] in ((above, below), (None, None))
 
     @pytest.mark.parametrize("reps", [129, 163])
-    def test_default_block_bit_identical(self, gaussian, reps):
+    def test_default_block_bit_identical(self, reduced, gaussian, reps):
         # acceptance size, 16 matrices per block; the last chunk is odd: at
         # 163 its sines start mid-matrix, and two matrices are cut
-        want = sm_unstreamed(400, 40, gaussian, reps, 22)
-        got = montecarlo._sm_singular_values(400, 40, gaussian, reps, 22)
-        for w, g in zip(want, got):
-            np.testing.assert_array_equal(g, w)
+        self.assert_streamed_as_whole_draws(reduced, 400, 40, gaussian, reps, 22, C=1.0)
 
     def test_memory_is_a_few_blocks(self, gaussian):
         tracemalloc.start()
