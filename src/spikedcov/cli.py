@@ -109,7 +109,9 @@ class Manifest:
 
 
 def _null_nonfinite(value):
-    """``value`` with every NaN and ±inf as None: a value with no finite number is JSON ``null``."""
+    """``value`` with arrays as lists and every NaN and ±inf as None: JSON ``null``."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     if isinstance(value, dict):
         return {k: _null_nonfinite(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -294,8 +296,8 @@ def cmd_consistency(args) -> int:
     rep = consistency_report(config)
     manifest = Manifest(args.config, args.out, config.master_seed)
     manifest.save("consistency.json", _write_json, {
-        "median_max_ratio_error": rep["median_max_ratio_error"].tolist(),
-        "median_inner_sq": rep["median_inner_sq"].tolist(),
+        "median_max_ratio_error": rep["median_max_ratio_error"],
+        "median_inner_sq": rep["median_inner_sq"],
         "flags": rep["flags"],
         "successes": rep["successes"],
         "flagged": rep["flagged"],
@@ -318,16 +320,8 @@ def cmd_concentration(args) -> int:
         if not (0 <= args.t_min < math.inf and 0 <= args.t_max < math.inf):
             raise ConfigInvalid(f"--t-min and --t-max must be finite and >= 0, got {args.t_min}, {args.t_max}")
         t_grid = np.linspace(args.t_min, args.t_max, args.t_count)
-        rec = concentration_hw_check(args.p, law, t_grid, args.replicates, args.seed)
-        out = {
-            "t": rec["t"].tolist(),
-            "tail_hw": rec["tail_hw"].tolist(),
-            "tail_ahw": rec["tail_ahw"].tolist(),
-            "shape": rec["shape"].tolist(),
-            "c_hw": rec["c_hw"],
-            "c_ahw": rec["c_ahw"],
-            "reps": rec["reps"],
-        }
+        out = concentration_hw_check(args.p, law, t_grid, args.replicates, args.seed)
+        del out["samples_hw"]
     manifest = Manifest(None, args.out, args.seed)
     manifest.save(f"concentration_{args.kind}.json", _write_json, out)
     manifest.write()

@@ -125,7 +125,7 @@ def build_experiment(parser: configparser.ConfigParser, **overrides) -> Experime
             return overrides[key]
         return experiment_value(parser, key, cast, default)
 
-    config = ExperimentConfig(
+    return ExperimentConfig(
         spec=spec,
         nu=pick("nu", 1, int),
         replicates=pick("replicates", 1, int),
@@ -136,5 +136,3 @@ def build_experiment(parser: configparser.ConfigParser, **overrides) -> Experime
         eps0=pick("eps0", 0.1, float),
         workers=overrides.get("workers"),
     )
-    config.validate()
-    return config

@@ -147,13 +147,15 @@ def random_orthogonal(dim: int, master_seed: int) -> np.ndarray:
     return q * signs[np.newaxis, :]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpikedModelSpec:
     """Dimensions, spikes, basis and entry law of the model.
 
     ``basis=None`` means the identity basis (the frame every block
     computation works in); an explicit basis must be orthogonal.
     Spikes may be numbers or growth-rule strings, evaluated at construction.
+    A spec is checked once, when built, and is immutable: no field can be
+    assigned and the spikes array is read-only.
     """
 
     n: int
@@ -165,20 +167,19 @@ class SpikedModelSpec:
     gamma_bound: float = 10.0
 
     def __post_init__(self):
-        self.spikes = np.asarray(
+        spikes = np.asarray(
             [parse_spike_rule(s, self.n) for s in np.atleast_1d(self.spikes)],
             dtype=np.float64,
         )
-        self.validate()
-
-    def validate(self) -> None:
-        if self.M != len(self.spikes):
-            raise ConfigInvalid(f"M={self.M} but {len(self.spikes)} spikes given")
+        spikes.flags.writeable = False
+        object.__setattr__(self, "spikes", spikes)
+        if self.M != len(spikes):
+            raise ConfigInvalid(f"M={self.M} but {len(spikes)} spikes given")
         if not (0 < self.M < self.N and self.M < self.n):
             raise ConfigInvalid(f"need 0 < M < N and M < n, got (n,N,M)=({self.n},{self.N},{self.M})")
-        if np.any(np.diff(self.spikes) > 0):
+        if np.any(np.diff(spikes) > 0):
             raise ConfigInvalid("spikes must be sorted descending")
-        if np.any(self.spikes < 1.0) or not np.all(np.isfinite(self.spikes)):
+        if np.any(spikes < 1.0) or not np.all(np.isfinite(spikes)):
             raise ConfigInvalid("every spike must be finite and >= 1")
         if not self.gamma_bound >= 1.0:
             raise ConfigInvalid(f"gamma_bound = {self.gamma_bound:g} must be >= 1")
@@ -194,7 +195,7 @@ class SpikedModelSpec:
             err = np.max(np.abs(b.T @ b - np.eye(self.N)))
             if err > 1e-10:
                 raise ConfigInvalid(f"basis not orthogonal: max |U^T U - I| = {err:.3e}")
-            self.basis = b
+            object.__setattr__(self, "basis", b)
 
     def sqrt_lambda(self) -> np.ndarray:
         return np.sqrt(self.spikes)
@@ -221,7 +222,6 @@ def spike_entries(spec: SpikedModelSpec, z: np.ndarray) -> np.ndarray:
 
 def generate_data(spec: SpikedModelSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw (X, Z) with X = U diag(sqrt(l), 1, ..) Z; Z returned for diagnostics."""
-    spec.validate()
     z = sample_entry_matrix(spec.N, spec.n, spec.law, seed)
     return spike_entries(spec, z.copy()), z
 

@@ -11,21 +11,9 @@ cancellation of two numbers close to z at large z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InsideBulk
-
-
-@dataclass(frozen=True)
-class MPParams:
-    gamma: float
-
-    @property
-    def edges(self) -> tuple[float, float]:
-        s = np.sqrt(self.gamma)
-        return ((1.0 - s) ** 2, (1.0 + s) ** 2)
 
 
 def mp_stieltjes(z: float, gamma: float) -> float:
@@ -36,7 +24,7 @@ def mp_stieltjes(z: float, gamma: float) -> float:
     value 2 / (z + gamma - 1) is returned rather than an error.
     Points strictly inside the bulk raise InsideBulk.
     """
-    _, b = MPParams(gamma).edges
+    b = (1.0 + np.sqrt(gamma)) ** 2
     if z < b * (1.0 - 1e-12) - 1e-12:
         raise InsideBulk(f"z = {z:g} not right of the bulk edge b = {b:g}")
     disc = (z - gamma + 1.0) ** 2 - 4.0 * z

@@ -13,8 +13,8 @@ generator in sequence, or move one through its ``state`` dict.
 
 The last section holds the paper's quantities that the tests and the
 acceptance criteria evaluate but no command computes: the expanded x map,
-the MP density, the empirical Stieltjes transform, the inversion gap,
-exact chi-square-mixture moments and the auxiliary-lemma diagnostics.
+the MP edges and density, the empirical Stieltjes transform, the inversion
+gap, exact chi-square-mixture moments and the auxiliary-lemma diagnostics.
 """
 
 import math
@@ -26,7 +26,6 @@ import numpy as np
 from spikedcov.centering import spike_resolvent
 from spikedcov.eigen import BlockDecomposition, spike_quadratic_form
 from spikedcov.errors import NotInvertible, NumericPrecondition, SpikeAtOne, SpikedCovError
-from spikedcov.mp import MPParams
 from spikedcov.rng import Stream
 
 
@@ -336,9 +335,15 @@ def compose_O(a, b, c, s: int) -> tuple[float, np.ndarray]:
     return float(total[0]), total[1:]
 
 
+def mp_edges(gamma: float) -> tuple[float, float]:
+    """Bulk edges (a, b) = ((1 - sqrt gamma)^2, (1 + sqrt gamma)^2) of the MP law."""
+    s = np.sqrt(gamma)
+    return (1.0 - s) ** 2, (1.0 + s) ** 2
+
+
 def mp_density(x, gamma: float):
     """MP density sqrt((b-x)(x-a)) / (2 pi gamma x) on [a, b], 0 outside."""
-    a, b = MPParams(gamma).edges
+    a, b = mp_edges(gamma)
     x = np.asarray(x, dtype=np.float64)
     inside = (x >= a) & (x <= b) & (x > 0.0)
     out = np.zeros_like(x)

@@ -39,6 +39,7 @@ from .oracles import (
     compose_O,
     ecdf,
     empirical_stieltjes,
+    mp_edges,
     naive_abc,
     naive_compose_eval,
     naive_matrix_polynomial,
@@ -294,13 +295,13 @@ def test_criterion_6_leading_term_sign(polynomial_results):
 
 def test_criterion_7_mp_transform():
     from spikedcov.model import EntryLaw, sample_entry_matrix
-    from spikedcov.mp import MPParams, mp_quadratic_residual, mp_stieltjes
+    from spikedcov.mp import mp_quadratic_residual, mp_stieltjes
 
     cfg = ACC["mp_transform"]
     worst_quad = 0.0
     count = 0
     for gamma in (0.25, 0.5, 1.0, 2.0, 5.0):
-        b = MPParams(gamma).edges[1]
+        b = mp_edges(gamma)[1]
         for z in np.linspace(b + 0.1, b + 40.0, cfg["grid_points"] // 5):
             worst_quad = max(worst_quad, abs(mp_quadratic_residual(z, gamma)))
             count += 1

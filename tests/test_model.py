@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -145,6 +146,16 @@ def test_spec_invariants(gaussian):
     bad[0, 0] = 1.5
     with pytest.raises(ConfigInvalid):
         SpikedModelSpec(n=10, N=8, M=1, spikes=[2.0], law=gaussian, basis=bad)
+
+
+def test_spec_is_immutable(gaussian):
+    spec = SpikedModelSpec(n=10, N=8, M=2, spikes=["4", 2.0], law=gaussian, basis=np.eye(8))
+    for name, value in (("n", 20), ("spikes", np.array([5.0, 2.0])), ("basis", None)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spec, name, value)
+    with pytest.raises(ValueError):
+        spec.spikes[0] = 0.5
+    np.testing.assert_array_equal(spec.spikes, [4.0, 2.0])
 
 
 def test_spike_rules():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import sys
@@ -154,6 +155,22 @@ class TestRunExperiment:
     def test_invalid_statistic(self, quick_spec):
         with pytest.raises(ConfigInvalid):
             run_experiment(quick_config(quick_spec, statistic="nope"))
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("statistic", "nope"), ("nu", 0), ("nu", 4), ("x_mode", "iter:x"), ("x_mode", "iter:0"),
+         ("workers", 0), ("replicates", 0)],
+    )
+    def test_bad_config_fails_when_built(self, quick_spec, name, value):
+        with pytest.raises(ConfigInvalid):
+            quick_config(quick_spec, **{name: value})
+
+    def test_config_is_immutable(self, quick_spec):
+        config = quick_config(quick_spec)
+        for name, value in (("nu", 2), ("statistic", "nope"), ("spec", None)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(config, name, value)
+        assert (config.nu, config.statistic) == (1, "clt_oracle")
 
     @pytest.mark.parametrize("statistic", ["consistency", "concentration_sm", "concentration_hw"])
     def test_only_clt_and_eigvec_statistics(self, quick_spec, statistic):
@@ -536,6 +553,12 @@ class TestConcentrationHW:
     def test_grid_needs_finite_nonnegative_t(self, gaussian, t):
         with pytest.raises(ConfigInvalid):
             concentration_hw_check(5, gaussian, [1.0, t], 10, 1)
+
+    def test_largest_finite_t_has_the_linear_shape(self, gaussian):
+        # t^2 overflows to inf, so min(t^2 / p, t) is t, without a RuntimeWarning
+        rec = concentration_hw_check(5, gaussian, [1.0, 1e308], 10, 1)
+        assert rec["shape"].tolist() == [0.2, 1e308]
+        assert rec["tail_hw"][1] == rec["tail_ahw"][1] == 0.0
 
     def test_identity_matches_chisquare(self, gaussian):
         from scipy.stats import chi2

@@ -5,13 +5,14 @@ from spikedcov.cores import fan_out
 from spikedcov.eigen import sample_covariance
 from spikedcov.errors import InsideBulk, NotInvertible, SpikeAtOne
 from spikedcov.model import EntryLaw, sample_entry_matrix
-from spikedcov.mp import MPParams, mp_quadratic_residual, mp_stieltjes
+from spikedcov.mp import mp_quadratic_residual, mp_stieltjes
 
 from .oracles import (
     InsideSpectrum,
     empirical_stieltjes,
     inversion_gap,
     mp_density,
+    mp_edges,
     spike_forward_map,
 )
 
@@ -31,7 +32,7 @@ class TestDensity:
         from scipy.integrate import simpson
 
         gamma = 0.5
-        a, b = MPParams(gamma).edges
+        a, b = mp_edges(gamma)
         x = np.linspace(a, b, 100_001)
         total = simpson(mp_density(x, gamma), x=x)
         assert abs(total - 1.0) <= 1e-6
@@ -46,7 +47,7 @@ class TestStieltjes:
         from scipy.integrate import quad
 
         gamma, z = 0.5, 4.0
-        a, b = MPParams(gamma).edges
+        a, b = mp_edges(gamma)
         val, _ = quad(lambda x: mp_density(x, gamma) / (z - x), a, b, limit=200)
         m = mp_stieltjes(z, gamma)
         assert m == pytest.approx(0.3596118, abs=1e-6)
@@ -54,7 +55,7 @@ class TestStieltjes:
 
     def test_quadratic_residual_grid(self):
         for gamma in (0.2, 0.5, 1.0, 2.0, 5.0):
-            b = MPParams(gamma).edges[1]
+            b = mp_edges(gamma)[1]
             # and far right of the edge, where z + gamma - 1 and sqrt(D) nearly cancel
             for z in [*np.linspace(b + 0.1, b + 50.0, 20), *(b * 10.0 ** np.arange(2, 13))]:
                 assert abs(mp_quadratic_residual(z, gamma)) <= 1e-12
@@ -65,7 +66,7 @@ class TestStieltjes:
 
     def test_monotone_decreasing_positive_vanishing(self):
         gamma = 0.7
-        b = MPParams(gamma).edges[1]
+        b = mp_edges(gamma)[1]
         zs = np.linspace(b + 0.05, b + 200.0, 400)
         ms = np.array([mp_stieltjes(z, gamma) for z in zs])
         assert np.all(ms > 0.0)
@@ -89,7 +90,7 @@ class TestEmpiricalStieltjes:
         from scipy.integrate import cumulative_trapezoid
 
         gamma = 0.5
-        a, b = MPParams(gamma).edges
+        a, b = mp_edges(gamma)
         grid = np.linspace(a, b, 200_001)
         cdf = cumulative_trapezoid(mp_density(grid, gamma), grid, initial=0.0)
         cdf /= cdf[-1]
